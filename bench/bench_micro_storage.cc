@@ -1,17 +1,18 @@
 // Microbenchmarks (google-benchmark) for the storage substrate: view
-// probe/append throughput (the conditional apply's inner loop), the
-// columnar batch-probe path, the vectorized filter evaluator, and
-// synthetic-video generation/statistics costs.
+// probe/append throughput (the conditional apply's inner loop), segment
+// seals, the columnar batch-probe path, the vectorized filter evaluator,
+// and synthetic-video generation/statistics costs.
 //
 // Two entry modes (custom main below):
 //   default       google-benchmark CLI (--benchmark_filter=..., etc.)
-//   --quick       fixed-iteration wall-clock run of the probe/filter
-//                 benches, p50/p95 JSON on stdout — the CI perf-smoke
+//   --quick       fixed-iteration wall-clock run of the put/seal/probe/
+//                 filter benches, p50/p95 JSON on stdout — the CI perf-smoke
 //                 job's artifact (see .github/workflows/ci.yml).
 
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <span>
 
 #include "bench_util.h"
 #include "exec/vector_filter.h"
@@ -56,40 +57,26 @@ void FillProbeView(MaterializedView* view) {
 }
 
 void BM_ViewPut(benchmark::State& state) {
+  std::vector<Row> rows;
+  for (int o = 0; o < 8; ++o) {
+    rows.push_back({Value(static_cast<int64_t>(o)), Value("car"), Value(0.3),
+                    Value(0.9)});
+  }
   for (auto _ : state) {
     MaterializedView view("bench", DetSchema());
     for (int64_t f = 0; f < state.range(0); ++f) {
-      std::vector<Row> rows;
-      for (int o = 0; o < 8; ++o) {
-        rows.push_back({Value(static_cast<int64_t>(o)), Value("car"),
-                        Value(0.3), Value(0.9)});
-      }
-      view.Put(ViewKey{f, -1}, std::move(rows));
+      view.Put(ViewKey{f, -1}, rows);
     }
     benchmark::DoNotOptimize(view.num_rows());
   }
 }
 BENCHMARK(BM_ViewPut)->Arg(1000)->Arg(10000);
 
-// Legacy point-probe path (Has + Get, two lock acquisitions) — kept as the
-// before-side of the columnar comparison.
-void BM_ViewProbe(benchmark::State& state) {
-  MaterializedView view("bench", DetSchema());
-  FillProbeView(&view);
-  int64_t f = 0;
-  for (auto _ : state) {
-    f = (f + 7919) % (2 * kProbeViewFrames);  // half hits, half misses
-    bool has = view.Has(ViewKey{f, -1});
-    if (has) benchmark::DoNotOptimize(view.Get(ViewKey{f, -1}));
-    benchmark::DoNotOptimize(has);
-  }
-}
-BENCHMARK(BM_ViewProbe);
-
-// Single-acquisition point probe.
+// Single-acquisition point probe (copies the hit's rows out).
 void BM_ViewTryGet(benchmark::State& state) {
   MaterializedView view("bench", DetSchema());
   FillProbeView(&view);
+  view.SealAllSegments();
   int64_t f = 0;
   for (auto _ : state) {
     f = (f + 7919) % (2 * kProbeViewFrames);
@@ -106,9 +93,8 @@ void BM_ViewProbeBatch(benchmark::State& state) {
   std::vector<ViewKey> keys(kProbeBatchKeys);
   ProbeResult res;
   int64_t start = 0;
-  // Seal the columnar projections outside the timed region (the engine
-  // pays this once per segment per session, not per batch).
-  view.ProbeBatch({ViewKey{0, -1}}, nullptr, &res);
+  // Seal outside the timed region: probes read the sealed lanes.
+  view.SealAllSegments();
   for (auto _ : state) {
     start = (start + 7919) % kProbeViewFrames;
     for (size_t i = 0; i < kProbeBatchKeys; ++i) {
@@ -274,18 +260,51 @@ int RunQuick() {
 
   MaterializedView view("bench", DetSchema());
   FillProbeView(&view);
+  view.SealAllSegments();
 
-  auto probe_has_get = [&] {
-    int64_t f = 0, hits = 0;
-    for (int64_t i = 0; i < kOps; ++i) {
-      f = (f + 7919) % (2 * kProbeViewFrames);
-      if (view.Has(ViewKey{f, -1})) {
-        benchmark::DoNotOptimize(view.Get(ViewKey{f, -1}));
-        ++hits;
-      }
+  // Write path: Put of one detection row per key into a fresh view, cells
+  // copied from operator rows; each 512-frame segment seals as it fills,
+  // as frame-keyed views do in the engine (ns per key).
+  const Row put_row = {Value(static_cast<int64_t>(0)), Value("car"),
+                       Value(0.3), Value(0.9)};
+  const Row* put_rows[] = {&put_row};
+  auto view_put = [&] {
+    MaterializedView v("bench_put", DetSchema());
+    for (int64_t f = 0; f < kProbeViewFrames; ++f) {
+      v.Put(ViewKey{f, -1}, put_rows, 0, 0, -1);
     }
-    benchmark::DoNotOptimize(hits);
+    benchmark::DoNotOptimize(v.num_rows());
   };
+  // Seal path: one codec segment of 512 keys (1-3 rows each) re-sealed
+  // with 512 open keys interleaved — the merge a budgeted session pays
+  // per touched segment (ns per output row).
+  const eva::storage::SegmentBuildOptions seal_options{true, 10};
+  eva::storage::SegmentZone seal_zone(DetSchema().num_fields());
+  eva::storage::SegmentBuilder half(DetSchema().num_fields());
+  eva::storage::SegmentBuilder open(DetSchema().num_fields());
+  std::vector<Row> seal_rows;
+  for (int64_t i = 0; i < 3; ++i) {
+    seal_rows.push_back({Value(i), Value(i == 1 ? "bus" : "car"),
+                         Value(0.01 * static_cast<double>(i + 1)),
+                         Value(0.5 + 0.1 * static_cast<double>(i))});
+  }
+  const Row* seal_ptrs[] = {&seal_rows[0], &seal_rows[1], &seal_rows[2]};
+  for (int64_t k = 0; k < 1024; ++k) {
+    const size_t n = 1 + static_cast<size_t>(k % 3);
+    (k % 2 == 0 ? half : open)
+        .Append(ViewKey{k, -1}, std::span<const Row* const>(seal_ptrs, n), 0,
+                &seal_zone);
+  }
+  auto sealed_half = eva::storage::SealSegment(nullptr, half, seal_options);
+  const int64_t seal_out_rows = sealed_half->num_rows() + open.num_rows();
+  constexpr int kSealsPerSample = 20;
+  auto segment_seal = [&] {
+    for (int i = 0; i < kSealsPerSample; ++i) {
+      benchmark::DoNotOptimize(
+          eva::storage::SealSegment(sealed_half.get(), open, seal_options));
+    }
+  };
+
   auto probe_tryget = [&] {
     int64_t f = 0;
     for (int64_t i = 0; i < kOps; ++i) {
@@ -295,7 +314,6 @@ int RunQuick() {
   };
   ProbeResult res;
   std::vector<ViewKey> keys(kProbeBatchKeys);
-  view.ProbeBatch({ViewKey{0, -1}}, nullptr, &res);  // seal untimed
   auto probe_batch = [&] {
     int64_t start = 0;
     for (int64_t b = 0; b * static_cast<int64_t>(kProbeBatchKeys) < kOps;
@@ -362,8 +380,13 @@ int RunQuick() {
   std::string out = "{\"bench\":\"bench_micro_storage\",\"mode\":\"quick\","
                     "\"benchmarks\":[";
   out += eva::bench::WallStatsJson(
-      "view_probe_has_get",
-      eva::bench::MeasureWall(probe_has_get, kWarmup, kSamples, kOps));
+      "view_put", eva::bench::MeasureWall(view_put, kWarmup, kSamples,
+                                          kProbeViewFrames));
+  out += ',';
+  out += eva::bench::WallStatsJson(
+      "segment_seal",
+      eva::bench::MeasureWall(segment_seal, kWarmup, kSamples,
+                              kSealsPerSample * seal_out_rows));
   out += ',';
   out += eva::bench::WallStatsJson(
       "view_probe_tryget",

@@ -593,23 +593,17 @@ Status EvaEngine::WalCommitQuery(
     if (wal_known_views_.insert(name).second) {
       wal_writer_->Stage(wal::ViewAdmissionRecord(name, view->value_schema()));
     }
-    const int64_t seg_frames = view->segment_frames();
-    auto seg_of = [seg_frames](int64_t frame) {
-      int64_t q = frame / seg_frames;
-      if (frame % seg_frames != 0 && frame < 0) --q;
-      return q;
-    };
-    std::vector<std::pair<storage::ViewKey, const std::vector<Row>*>> entries;
+    std::vector<std::pair<storage::ViewKey, std::vector<Row>>> entries;
     size_t i = 0;
     while (i < keys.size()) {
-      const int64_t seg = seg_of(keys[i].frame);
+      const int64_t seg = view->SegmentOf(keys[i].frame);
       entries.clear();
-      for (; i < keys.size() && seg_of(keys[i].frame) == seg; ++i) {
-        auto it = view->entries().find(keys[i]);
+      for (; i < keys.size() && view->SegmentOf(keys[i].frame) == seg; ++i) {
+        std::optional<std::vector<Row>> rows = view->TryGet(keys[i]);
         // Appended then evicted within the same query: the rows are gone,
         // so there is nothing to log — skipping is a sound underclaim.
-        if (it == view->entries().end()) continue;
-        entries.emplace_back(keys[i], &it->second);
+        if (!rows.has_value()) continue;
+        entries.emplace_back(keys[i], std::move(*rows));
       }
       if (!entries.empty()) {
         wal_writer_->Stage(wal::SegmentAppendRecord(name, query_id, entries));
@@ -1097,6 +1091,13 @@ Result<QueryResult> EvaEngine::ExecuteSelect(
             "eva_view_store_bytes",
             "Total materialized-view footprint (the §5.2 storage number).")) {
       g->Set(views_.TotalSizeBytes());
+    }
+    if (auto* g = registry_->GetGauge(
+            "eva_view_heap_bytes",
+            "Heap held by materialized views (lane capacities, key indexes, "
+            "Bloom blocks, zone maps): what eva_view_store_bytes accounts "
+            "for, measured.")) {
+      g->Set(views_.HeapBytes());
     }
     int64_t view_rows = 0;
     for (const auto& [name, view] : views_.views()) {

@@ -616,7 +616,7 @@ class ViewJoinOp : public Operator {
     if (view != nullptr && !probe_keys_.empty()) {
       storage::ZoneCheckFn zone_fn;
       if (ctx_->zone_map_skipping && residual_ != nullptr) {
-        zone_fn = [this](const storage::ColumnarSegment& seg) {
+        zone_fn = [this](const storage::SegmentZone& seg) {
           return ZoneCanMatch(*residual_, seg, value_schema_);
         };
       }
@@ -945,45 +945,43 @@ class StoreOp : public Operator {
       // Group object rows of one frame; record presence even for frames
       // whose detector output is empty (NULL placeholder rows).
       int64_t current_frame = -1;
-      std::vector<Row> pending;
-      bool pending_placeholder = false;
-      auto flush = [&]() {
-        if (current_frame < 0) return;
-        ViewKey key{current_frame, -1};
-        if (view->TryGet(key) == nullptr) {
-          ctx_->Charge(CostCategory::kMaterialize,
-                       ctx_->costs.materialize_ms_per_row *
-                           static_cast<double>(pending.size() + 1));
-          CountMaterialized(static_cast<int64_t>(pending.size()) + 1);
-          view->Put(key, pending, ctx_->views->NextAccessTick(),
-                    ctx_->query_id);
-        }
-        pending.clear();
-        pending_placeholder = false;
-      };
       size_t n_outputs = UdfOutputSchema(def_).num_fields();
       size_t base_width = in.schema().num_fields() - n_outputs;
+      auto flush = [&]() {
+        if (current_frame < 0) return;
+        // The UDF's cells are the trailing n_outputs columns of each row.
+        if (PutKey(view, ViewKey{current_frame, -1}, base_width)) {
+          ctx_->Charge(CostCategory::kMaterialize,
+                       ctx_->costs.materialize_ms_per_row *
+                           static_cast<double>(pending_.size() + 1));
+          CountMaterialized(static_cast<int64_t>(pending_.size()) + 1);
+        }
+        pending_.clear();
+      };
+      pending_.clear();
       for (const Row& row : in.rows()) {
         int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
         if (frame != current_frame) {
           flush();
           current_frame = frame;
         }
-        if (row[static_cast<size_t>(obj_idx)].is_null()) {
-          pending_placeholder = true;  // processed frame, zero objects
-          continue;                    // placeholder rows are dropped here
-        }
-        pending.emplace_back(row.begin() + static_cast<long>(base_width),
-                             row.end());
-        out.AddRow(row);
+        // A NULL obj is the placeholder of a processed frame with zero
+        // objects: the key is recorded, the row is dropped here.
+        if (row[static_cast<size_t>(obj_idx)].is_null()) continue;
+        pending_.push_back(&row);
       }
       flush();
-      (void)pending_placeholder;
+      // Every key is stored; the rows move on (placeholders excepted).
+      for (Row& row : in.mutable_rows()) {
+        if (!row[static_cast<size_t>(obj_idx)].is_null()) {
+          out.AddRow(std::move(row));
+        }
+      }
       return out;
     }
     // Classifier / filter UDF: one row per key.
     int val_idx = in.schema().IndexOf(def_.name);
-    for (const Row& row : in.rows()) {
+    for (Row& row : in.mutable_rows()) {
       const Value& val = row[static_cast<size_t>(val_idx)];
       if (!val.is_null()) {
         int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
@@ -991,21 +989,20 @@ class StoreOp : public Operator {
         if (def_.kind == UdfKind::kClassifier) {
           const Value& obj_v = row[static_cast<size_t>(obj_idx)];
           if (obj_v.is_null()) {
-            out.AddRow(row);
+            out.AddRow(std::move(row));
             continue;
           }
           obj = obj_v.AsInt64();
         }
-        ViewKey key{frame, obj};
-        if (view->TryGet(key) == nullptr) {
+        pending_.assign(1, &row);
+        if (PutKey(view, ViewKey{frame, obj},
+                   static_cast<size_t>(val_idx))) {
           ctx_->Charge(CostCategory::kMaterialize,
                        ctx_->costs.materialize_ms_per_row);
           CountMaterialized(1);
-          view->Put(key, {{val}}, ctx_->views->NextAccessTick(),
-                    ctx_->query_id);
         }
       }
-      out.AddRow(row);
+      out.AddRow(std::move(row));
     }
     return out;
   }
@@ -1025,6 +1022,20 @@ class StoreOp : public Operator {
     }
   }
 
+  /// Stores the cells of pending_ (from column `first_col` on) under
+  /// `key`; true when the key was new. The access tick is drawn from the
+  /// store's clock only for a new key (STORE runs on the driver thread, so
+  /// no other tick is drawn in between), keeping tick sequences independent
+  /// of how many keys were already present.
+  bool PutKey(MaterializedView* view, const ViewKey& key, size_t first_col) {
+    const uint64_t tick = ctx_->views->current_tick() + 1;
+    if (!view->Put(key, pending_, first_col, tick, ctx_->query_id)) {
+      return false;
+    }
+    ctx_->views->NextAccessTick();
+    return true;
+  }
+
   void CountMaterialized(int64_t rows) {
     if (ctx_->active_stats != nullptr) {
       ctx_->active_stats->rows_materialized += rows;
@@ -1038,6 +1049,7 @@ class StoreOp : public Operator {
   UdfDef def_;
   std::string view_name_;
   obs::Counter* materialized_ = nullptr;
+  std::vector<const Row*> pending_;  // rows of the key being stored
 };
 
 // ---------------------------------------------------------------------------

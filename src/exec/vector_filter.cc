@@ -237,17 +237,17 @@ int RankOf(DataType t) {
 // Resolves the zone summary of a referenced column. `synth` is storage for
 // the synthesized "id"/"obj" zones (derived from the key arrays).
 const storage::ZoneMapEntry* ResolveZone(const std::string& name,
-                                         const storage::ColumnarSegment& seg,
+                                         const storage::SegmentZone& seg,
                                          const Schema& value_schema,
                                          storage::ZoneMapEntry* synth) {
   int idx = value_schema.IndexOf(name);
-  if (idx >= 0 && static_cast<size_t>(idx) < seg.zones.size()) {
-    return &seg.zones[static_cast<size_t>(idx)];
+  if (idx >= 0 && static_cast<size_t>(idx) < seg.cols.size()) {
+    return &seg.cols[static_cast<size_t>(idx)];
   }
-  if (seg.num_keys() == 0) return nullptr;
+  if (seg.keys == 0) return nullptr;
   if (name == "id" || name == "obj") {
-    int64_t lo = name == "id" ? seg.frame_min() : seg.obj_min;
-    int64_t hi = name == "id" ? seg.frame_max() : seg.obj_max;
+    int64_t lo = name == "id" ? seg.frame_min : seg.obj_min;
+    int64_t hi = name == "id" ? seg.frame_max : seg.obj_max;
     synth->valid = std::llabs(lo) <= static_cast<int64_t>(kDoubleExactLimit) &&
                    std::llabs(hi) <= static_cast<int64_t>(kDoubleExactLimit);
     synth->type = DataType::kInt64;
@@ -280,22 +280,22 @@ ZoneVerdict CompareZone(const storage::ZoneMapEntry& z, CompareOp op,
     bool sat = true;
     switch (op) {
       case CompareOp::kEq:
-        sat = std::binary_search(z.strings.begin(), z.strings.end(), lv);
+        sat = z.strings.count(lv) > 0;
         break;
       case CompareOp::kNe:
-        sat = !(z.strings.size() == 1 && z.strings.front() == lv);
+        sat = !(z.strings.size() == 1 && *z.strings.begin() == lv);
         break;
       case CompareOp::kLt:
-        sat = z.strings.front() < lv;
+        sat = *z.strings.begin() < lv;
         break;
       case CompareOp::kLe:
-        sat = z.strings.front() <= lv;
+        sat = *z.strings.begin() <= lv;
         break;
       case CompareOp::kGt:
-        sat = z.strings.back() > lv;
+        sat = *z.strings.rbegin() > lv;
         break;
       case CompareOp::kGe:
-        sat = z.strings.back() >= lv;
+        sat = *z.strings.rbegin() >= lv;
         break;
     }
     return sat ? ZoneVerdict::kMaybe : ZoneVerdict::kNever;
@@ -340,7 +340,7 @@ ZoneVerdict CompareZone(const storage::ZoneMapEntry& z, CompareOp op,
 
 }  // namespace
 
-ZoneVerdict ZoneCheck(const Expr& e, const storage::ColumnarSegment& seg,
+ZoneVerdict ZoneCheck(const Expr& e, const storage::SegmentZone& seg,
                       const Schema& value_schema) {
   switch (e.kind()) {
     case ExprKind::kAnd: {

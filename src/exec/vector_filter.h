@@ -76,20 +76,19 @@ class FilterProgram {
 /// no row materialized in `seg` can satisfy `e`, for ANY values of columns
 /// the segment does not store (those resolve to kMaybe). Column names
 /// resolve against the view's value schema; "id" and "obj" additionally
-/// resolve against the segment's key arrays. NOT subtrees are kMaybe
+/// resolve against the segment's key bounds. NOT subtrees are kMaybe
 /// (proving "all rows satisfy the child" is not worth the state), as is
 /// every shape whose scalar evaluation could error — a skip must never
 /// swallow an error the interpreter would raise.
 enum class ZoneVerdict { kNever, kMaybe };
 
-ZoneVerdict ZoneCheck(const expr::Expr& e,
-                      const storage::ColumnarSegment& seg,
+ZoneVerdict ZoneCheck(const expr::Expr& e, const storage::SegmentZone& seg,
                       const Schema& value_schema);
 
 /// True when some stored row of `seg` could satisfy `e` (i.e. the segment
 /// must be read); false only on a sound kNever proof.
 inline bool ZoneCanMatch(const expr::Expr& e,
-                         const storage::ColumnarSegment& seg,
+                         const storage::SegmentZone& seg,
                          const Schema& value_schema) {
   return ZoneCheck(e, seg, value_schema) != ZoneVerdict::kNever;
 }

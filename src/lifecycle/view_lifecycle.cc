@@ -111,11 +111,11 @@ std::vector<EvictionEvent> ViewLifecycleManager::EnforceBudget(
 
   if (options_.storage_budget_bytes <= 0) return events;
 
-  // Seal every stale segment first: a segment is charged at its encoded
-  // size only once sealed, so sealing here makes the byte totals — and
-  // therefore the eviction decisions — a function of the store's contents
-  // alone, not of which segments happened to be probed (and lazily sealed)
-  // by earlier queries.
+  // Seal every segment first: a segment is charged at its encoded size
+  // only once read or sealed since its last Put, so sealing here makes the
+  // byte totals — and therefore the eviction decisions — a function of the
+  // store's contents alone, not of which segments earlier queries happened
+  // to probe.
   views_->SealAllSegments();
 
   ScoreContext ctx;

@@ -22,69 +22,6 @@ constexpr size_t kMaxDictCardinality = 65536;
 // Numeric dictionaries stop being considered past this distinct count.
 constexpr size_t kMaxNumDictCardinality = 4096;
 
-// One column under construction: cells collected as Values, encoding
-// decided once the segment's type profile is known.
-struct ColBuilder {
-  std::vector<const Value*> cells;
-  bool has_nulls = false;
-  bool mixed = false;
-  DataType type = DataType::kNull;  // uniform non-null type seen so far
-  double num_min = 0;
-  double num_max = 0;
-  bool bounds_exact = true;
-  std::vector<std::string> strings;  // distinct values, sorted at the end
-
-  void Observe(const Value& v) {
-    cells.push_back(&v);
-    if (v.is_null()) {
-      has_nulls = true;
-      return;
-    }
-    DataType t = v.type();
-    if (type == DataType::kNull) {
-      type = t;
-    } else if (type != t) {
-      mixed = true;
-    }
-    if (mixed) return;
-    switch (t) {
-      case DataType::kInt64: {
-        int64_t i = v.AsInt64();
-        if (std::llabs(i) > static_cast<int64_t>(kDoubleExactLimit)) {
-          bounds_exact = false;
-        }
-        UpdateNum(static_cast<double>(i));
-        break;
-      }
-      case DataType::kDouble:
-        if (std::isnan(v.AsDouble())) bounds_exact = false;
-        UpdateNum(v.AsDouble());
-        break;
-      case DataType::kBool:
-        UpdateNum(v.AsBool() ? 1.0 : 0.0);
-        break;
-      case DataType::kString:
-        strings.push_back(v.AsString());
-        break;
-      default:
-        break;
-    }
-  }
-
-  void UpdateNum(double d) {
-    if (first_num_) {
-      num_min = num_max = d;
-      first_num_ = false;
-    } else {
-      num_min = std::min(num_min, d);
-      num_max = std::max(num_max, d);
-    }
-  }
-
- private:
-  bool first_num_ = true;
-};
-
 void SetNullBit(std::vector<uint64_t>* bits, size_t i) {
   (*bits)[i >> 6] |= uint64_t{1} << (i & 63);
 }
@@ -156,8 +93,9 @@ bool BuildNumDict(const std::vector<T>& v, std::vector<T>* dict,
   indexes->reserve(v.size());
   std::unordered_map<T, uint64_t> seen;
   for (const T& x : v) {
-    auto [it, inserted] = seen.emplace(x, dict->size());
-    if (inserted) {
+    auto it = seen.find(x);  // find first: emplace allocates a node
+    if (it == seen.end()) {
+      it = seen.emplace(x, dict->size()).first;
       dict->push_back(x);
       if (dict->size() > kMaxNumDictCardinality) return false;
     }
@@ -197,6 +135,39 @@ size_t ColumnVec::EncodedBytes() const {
   bytes += packed_.SizeBytes();
   bytes += rle_end_.size() * 4;
   if (codec_ == Codec::kFor) bytes += 8;
+  return bytes;
+}
+
+size_t ColumnVec::PlainBytes() const {
+  size_t bytes = null_bits_.size() * 8;
+  switch (enc_) {
+    case Enc::kInt64:
+    case Enc::kDouble:
+      return bytes + 8 * n_;
+    case Enc::kBool:
+      return bytes + n_;
+    case Enc::kDict:
+      bytes += 4 * n_;
+      for (const std::string& s : dict_) bytes += s.size();
+      return bytes;
+    case Enc::kValue:
+      break;
+  }
+  return bytes + raw_.size() * 16;  // nominal Value footprint
+}
+
+size_t ColumnVec::HeapBytes() const {
+  size_t bytes = null_bits_.capacity() * 8 + i64_.capacity() * 8 +
+                 f64_.capacity() * 8 + b8_.capacity() +
+                 codes_.capacity() * 4 +
+                 dict_.capacity() * sizeof(std::string) +
+                 raw_.capacity() * sizeof(Value) +
+                 packed_.words().capacity() * 8 + rle_end_.capacity() * 4;
+  // Dictionary strings too long for the small-string buffer own a heap
+  // block (strings inside raw Values are not walked: O(rows) per call).
+  for (const std::string& s : dict_) {
+    if (s.capacity() > 15) bytes += s.capacity() + 1;
+  }
   return bytes;
 }
 
@@ -415,161 +386,327 @@ void CompressColumn(ColumnVec* col) {
   }
 }
 
-std::shared_ptr<const ColumnarSegment> BuildColumnarSegment(
-    std::vector<ViewKey> keys,
-    const std::unordered_map<ViewKey, std::vector<Row>, ViewKeyHash>& entries,
-    size_t num_value_cols, const SegmentBuildOptions& options) {
-  std::sort(keys.begin(), keys.end());
-  auto seg = std::make_shared<ColumnarSegment>();
-  seg->built_keys = static_cast<int64_t>(keys.size());
-  seg->frames.reserve(keys.size());
-  seg->objs.reserve(keys.size());
-  seg->row_begin.reserve(keys.size() + 1);
-  seg->row_begin.push_back(0);
+void ZoneMapEntry::Observe(const Value& v) {
+  if (v.is_null()) {
+    has_nulls = true;
+    return;
+  }
+  if (!valid) return;
+  const DataType t = v.type();
+  const bool first = all_null;
+  if (first) {
+    all_null = false;
+    type = t;
+  } else if (t != type) {
+    valid = false;  // mixed types: unbounded from here on
+    return;
+  }
+  auto update = [&](double d) {
+    if (first) {
+      num_min = num_max = d;
+    } else {
+      num_min = std::min(num_min, d);
+      num_max = std::max(num_max, d);
+    }
+  };
+  switch (t) {
+    case DataType::kInt64: {
+      int64_t i = v.AsInt64();
+      if (std::llabs(i) > static_cast<int64_t>(kDoubleExactLimit)) {
+        valid = false;
+        return;
+      }
+      update(static_cast<double>(i));
+      break;
+    }
+    case DataType::kDouble:
+      if (std::isnan(v.AsDouble())) {
+        valid = false;
+        return;
+      }
+      update(v.AsDouble());
+      break;
+    case DataType::kBool:
+      update(v.AsBool() ? 1.0 : 0.0);
+      break;
+    case DataType::kString:
+      strings.insert(v.AsString());
+      break;
+    case DataType::kNull:
+      break;
+  }
+}
 
-  std::vector<ColBuilder> builders(num_value_cols);
-  bool first_key = true;
-  int32_t rows_total = 0;
+void ColumnBuilder::StartTyped(DataType t) {
+  // The all-null prefix so far (raw NULL Values) becomes zero cells under
+  // set null bits.
+  const size_t n = n_;
+  lane_ = ColumnVec();
+  lane_.n_ = n;
+  lane_.null_bits_.assign((n + 63) / 64, 0);
+  for (size_t i = 0; i < n; ++i) SetNullBit(&lane_.null_bits_, i);
+  type_ = t;
+  switch (t) {
+    case DataType::kInt64:
+      lane_.enc_ = ColumnVec::Enc::kInt64;
+      lane_.i64_.resize(n, 0);
+      break;
+    case DataType::kDouble:
+      lane_.enc_ = ColumnVec::Enc::kDouble;
+      lane_.f64_.resize(n, 0);
+      break;
+    case DataType::kBool:
+      lane_.enc_ = ColumnVec::Enc::kBool;
+      lane_.b8_.resize(n, 0);
+      break;
+    case DataType::kString:
+      lane_.enc_ = ColumnVec::Enc::kDict;
+      lane_.codes_.resize(n, 0);
+      break;
+    case DataType::kNull:
+      break;
+  }
+}
+
+std::vector<Value> ColumnBuilder::RawCells() const {
+  std::vector<Value> raw;
+  raw.reserve(n_);
+  for (size_t i = 0; i < n_; ++i) raw.push_back(lane_.At(i));
+  return raw;
+}
+
+void ColumnBuilder::MakeRaw() {
+  std::vector<Value> raw = RawCells();
+  lane_ = ColumnVec();
+  lane_.raw_ = std::move(raw);
+  dict_index_.clear();
+}
+
+void ColumnBuilder::Append(const Value& v) {
+  const bool null = v.is_null();
+  if (!null && type_ == DataType::kNull) {
+    StartTyped(v.type());
+  } else if (!null && v.type() != type_ &&
+             lane_.enc_ != ColumnVec::Enc::kValue) {
+    MakeRaw();  // mixed types: raw Values from here on
+  }
+  const size_t i = n_++;
+  if (lane_.enc_ == ColumnVec::Enc::kValue) {
+    lane_.raw_.push_back(v);  // all-null so far, or mixed
+    return;
+  }
+  lane_.n_ = n_;
+  if (null || !lane_.null_bits_.empty()) {
+    lane_.null_bits_.resize((n_ + 63) / 64, 0);
+  }
+  if (null) SetNullBit(&lane_.null_bits_, i);
+  switch (lane_.enc_) {
+    case ColumnVec::Enc::kInt64:
+      lane_.i64_.push_back(null ? 0 : v.AsInt64());
+      break;
+    case ColumnVec::Enc::kDouble:
+      lane_.f64_.push_back(null ? 0 : v.AsDouble());
+      break;
+    case ColumnVec::Enc::kBool:
+      lane_.b8_.push_back(!null && v.AsBool() ? 1 : 0);
+      break;
+    case ColumnVec::Enc::kDict: {
+      int32_t code = 0;
+      if (!null) {
+        auto it = dict_index_.find(v.AsString());
+        if (it == dict_index_.end()) {
+          it = dict_index_
+                   .emplace(v.AsString(),
+                            static_cast<int32_t>(lane_.dict_.size()))
+                   .first;
+          lane_.dict_.push_back(v.AsString());
+        }
+        code = it->second;
+      }
+      lane_.codes_.push_back(code);
+      break;
+    }
+    case ColumnVec::Enc::kValue:
+      break;
+  }
+}
+
+ColumnVec ColumnBuilder::Finish() const {
+  if (lane_.enc_ == ColumnVec::Enc::kDict &&
+      lane_.dict_.size() > kMaxDictCardinality) {
+    ColumnVec raw;  // dictionary overflow: raw storage
+    raw.raw_ = RawCells();
+    return raw;
+  }
+  return lane_;  // a copy: sealed lanes carry no growth slack
+}
+
+size_t ColumnBuilder::HeapBytes() const {
+  size_t bytes = lane_.HeapBytes();
+  // Node-based string index: a node per distinct string plus buckets.
+  bytes += dict_index_.size() * 64 + dict_index_.bucket_count() * 8;
+  return bytes;
+}
+
+void SegmentBuilder::Append(const ViewKey& key,
+                            std::span<const Row* const> rows,
+                            size_t first_col, SegmentZone* zone) {
+  if ((keys_.size() + 1) * 2 > slots_.size()) {
+    // Keep the flat index at most half full.
+    std::vector<uint32_t> slots(std::max<size_t>(16, slots_.size() * 2), 0);
+    const size_t mask = slots.size() - 1;
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      size_t h = HashViewKey(keys_[k].frame, keys_[k].obj) & mask;
+      while (slots[h] != 0) h = (h + 1) & mask;
+      slots[h] = static_cast<uint32_t>(k + 1);
+    }
+    slots_ = std::move(slots);
+  }
+  const size_t mask = slots_.size() - 1;
+  size_t h = HashViewKey(key.frame, key.obj) & mask;
+  while (slots_[h] != 0) h = (h + 1) & mask;
+  slots_[h] = static_cast<uint32_t>(keys_.size() + 1);
+  keys_.push_back(key);
+  zone->ObserveKey(key);
+
+  static const Value kNullCell = Value::Null();
+  for (const Row* row : rows) {
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      const size_t at = first_col + c;
+      const Value& cell = at < row->size() ? (*row)[at] : kNullCell;
+      cols_[c].Append(cell);
+      zone->cols[c].Observe(cell);
+    }
+  }
+  row_begin_.push_back(row_begin_.back() +
+                       static_cast<int32_t>(rows.size()));
+}
+
+size_t SegmentBuilder::Find(const ViewKey& key) const {
+  if (slots_.empty()) return npos;
+  const size_t mask = slots_.size() - 1;
+  for (size_t h = HashViewKey(key.frame, key.obj) & mask;;
+       h = (h + 1) & mask) {
+    const uint32_t slot = slots_[h];
+    if (slot == 0) return npos;
+    if (keys_[slot - 1] == key) return slot - 1;
+  }
+}
+
+size_t SegmentBuilder::HeapBytes() const {
+  size_t bytes = keys_.capacity() * sizeof(ViewKey) +
+                 row_begin_.capacity() * 4 + slots_.capacity() * 4 +
+                 cols_.capacity() * sizeof(ColumnBuilder);
+  for (const ColumnBuilder& c : cols_) bytes += c.HeapBytes();
+  return bytes;
+}
+
+size_t ColumnarSegment::HeapBytes() const {
+  size_t bytes = sizeof(ColumnarSegment) + frames.capacity() * 8 +
+                 objs.capacity() * 8 + row_begin.capacity() * 4 +
+                 (frames_p.words().capacity() + objs_p.words().capacity() +
+                  row_begin_p.words().capacity()) *
+                     8 +
+                 cols.capacity() * sizeof(ColumnVec) + bloom.SizeBytes();
+  for (const ColumnVec& c : cols) bytes += c.HeapBytes();
+  return bytes;
+}
+
+std::shared_ptr<const ColumnarSegment> SealSegment(
+    const ColumnarSegment* sealed, const SegmentBuilder& open,
+    const SegmentBuildOptions& options) {
+  // Open keys in (frame, obj) order; Put guarantees they are disjoint
+  // from the sealed ones.
+  std::vector<uint32_t> order(open.num_keys());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<uint32_t>(i);
+  }
+  std::sort(order.begin(), order.end(), [&open](uint32_t a, uint32_t b) {
+    return open.key(a) < open.key(b);
+  });
+  std::vector<ColumnVec> lanes;
+  lanes.reserve(open.num_cols());
+  if (sealed == nullptr && std::is_sorted(order.begin(), order.end())) {
+    // Keys were put in order: the open lanes are the sealed ones.
+    std::vector<int32_t> row_begin(open.num_keys() + 1);
+    for (size_t k = 0; k <= open.num_keys(); ++k) {
+      row_begin[k] = open.row_begin(k);
+    }
+    for (const ColumnBuilder& c : open.cols()) lanes.push_back(c.Finish());
+    return PackSegment(open.keys(), std::move(row_begin), std::move(lanes),
+                       options);
+  }
+  const size_t n_old = sealed != nullptr ? sealed->num_keys() : 0;
+  std::vector<ViewKey> keys;
+  keys.reserve(n_old + order.size());
+  std::vector<int32_t> row_begin;
+  row_begin.reserve(n_old + order.size() + 1);
+  row_begin.push_back(0);
+  std::vector<ColumnBuilder> cols(open.num_cols());
+
+  // Two-way merge of the sorted runs; each key's rows are appended in key
+  // order, as a one-shot build would lay them out.
+  auto append = [&cols, &row_begin](const auto& from, int32_t begin,
+                                    int32_t end) {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      for (int32_t r = begin; r < end; ++r) {
+        cols[c].Append(from[c].At(static_cast<size_t>(r)));
+      }
+    }
+    row_begin.push_back(row_begin.back() + (end - begin));
+  };
+  size_t i = 0, j = 0;
+  while (i < n_old || j < order.size()) {
+    if (j == order.size() ||
+        (i < n_old && sealed->key(i) < open.key(order[j]))) {
+      keys.push_back(sealed->key(i));
+      append(sealed->cols, sealed->row_begin_at(i),
+             sealed->row_begin_at(i + 1));
+      ++i;
+    } else {
+      const size_t k = order[j++];
+      keys.push_back(open.key(k));
+      append(open.cols(), open.row_begin(k), open.row_begin(k + 1));
+    }
+  }
+  for (const ColumnBuilder& c : cols) lanes.push_back(c.Finish());
+  return PackSegment(keys, std::move(row_begin), std::move(lanes), options);
+}
+
+std::shared_ptr<const ColumnarSegment> PackSegment(
+    const std::vector<ViewKey>& keys, std::vector<int32_t> row_begin,
+    std::vector<ColumnVec> cols, const SegmentBuildOptions& options) {
+  auto seg = std::make_shared<ColumnarSegment>();
+  const size_t nkeys = keys.size();
+  seg->frames.reserve(nkeys);
+  seg->objs.reserve(nkeys);
   for (const ViewKey& key : keys) {
-    auto it = entries.find(key);
-    if (it == entries.end()) continue;  // evicted under us: cannot happen
     seg->frames.push_back(key.frame);
     seg->objs.push_back(key.obj);
-    if (first_key) {
-      seg->obj_min = seg->obj_max = key.obj;
-      first_key = false;
-    } else {
-      seg->obj_min = std::min(seg->obj_min, key.obj);
-      seg->obj_max = std::max(seg->obj_max, key.obj);
-    }
-    // kNullCell keeps the ternary an lvalue: ColBuilder stores cell
-    // pointers, so no temporary may be materialized here.
-    static const Value kNullCell = Value::Null();
-    for (const Row& row : it->second) {
-      for (size_t c = 0; c < num_value_cols; ++c) {
-        builders[c].Observe(c < row.size() ? row[c] : kNullCell);
-      }
-      ++rows_total;
-    }
-    seg->row_begin.push_back(rows_total);
   }
-
-  seg->cols.resize(num_value_cols);
-  seg->zones.resize(num_value_cols);
-  const size_t n = static_cast<size_t>(rows_total);
-  for (size_t c = 0; c < num_value_cols; ++c) {
-    ColBuilder& b = builders[c];
-    ColumnVec& col = seg->cols[c];
-    ZoneMapEntry& zone = seg->zones[c];
-    zone.has_nulls = b.has_nulls;
-    zone.all_null = b.type == DataType::kNull;
-    zone.type = b.type;
-    zone.valid = !b.mixed && b.bounds_exact;
-    // Zone maps (and the string distinct list) come from the raw cells
-    // before any codec touches the lane.
-    if (b.type == DataType::kString) {
-      std::sort(b.strings.begin(), b.strings.end());
-      b.strings.erase(std::unique(b.strings.begin(), b.strings.end()),
-                      b.strings.end());
-    }
-    bool dict_overflow = b.type == DataType::kString &&
-                         b.strings.size() > kMaxDictCardinality;
-    if (b.mixed || b.type == DataType::kNull || dict_overflow) {
-      // Mixed, all-null, or dictionary-overflow column: raw storage; an
-      // all-null column keeps an (empty-bounds) valid zone so skipping can
-      // reason about it.
-      col.enc_ = ColumnVec::Enc::kValue;
-      col.raw_.reserve(n);
-      for (const Value* v : b.cells) col.raw_.push_back(*v);
-      if (dict_overflow) zone.strings = std::move(b.strings);
-      if (b.mixed) continue;
-      zone.valid = true;  // all-null stays skippable
-      if (dict_overflow) zone.valid = b.bounds_exact;
-      continue;
-    }
-    zone.num_min = b.num_min;
-    zone.num_max = b.num_max;
-    col.n_ = n;
-    if (b.has_nulls) col.null_bits_.assign((n + 63) / 64, 0);
-    switch (b.type) {
-      case DataType::kInt64: {
-        col.enc_ = ColumnVec::Enc::kInt64;
-        col.i64_.resize(n, 0);
-        for (size_t i = 0; i < n; ++i) {
-          const Value* v = b.cells[i];
-          if (v->is_null()) {
-            SetNullBit(&col.null_bits_, i);
-          } else {
-            col.i64_[i] = v->AsInt64();
-          }
-        }
-        break;
-      }
-      case DataType::kDouble: {
-        col.enc_ = ColumnVec::Enc::kDouble;
-        col.f64_.resize(n, 0);
-        for (size_t i = 0; i < n; ++i) {
-          const Value* v = b.cells[i];
-          if (v->is_null()) {
-            SetNullBit(&col.null_bits_, i);
-          } else {
-            col.f64_[i] = v->AsDouble();
-          }
-        }
-        break;
-      }
-      case DataType::kBool: {
-        col.enc_ = ColumnVec::Enc::kBool;
-        col.b8_.resize(n, 0);
-        for (size_t i = 0; i < n; ++i) {
-          const Value* v = b.cells[i];
-          if (v->is_null()) {
-            SetNullBit(&col.null_bits_, i);
-          } else {
-            col.b8_[i] = v->AsBool() ? 1 : 0;
-          }
-        }
-        break;
-      }
-      case DataType::kString: {
-        col.enc_ = ColumnVec::Enc::kDict;
-        col.codes_.resize(n, 0);
-        std::unordered_map<std::string, int32_t> codes;
-        for (size_t i = 0; i < n; ++i) {
-          const Value* v = b.cells[i];
-          if (v->is_null()) {
-            SetNullBit(&col.null_bits_, i);
-            continue;
-          }
-          auto [it, inserted] = codes.emplace(
-              v->AsString(), static_cast<int32_t>(col.dict_.size()));
-          if (inserted) col.dict_.push_back(v->AsString());
-          col.codes_[i] = it->second;
-        }
-        zone.strings = std::move(b.strings);
-        break;
-      }
-      default:
-        break;
-    }
+  if (nkeys > 0) {
+    auto [lo, hi] = std::minmax_element(seg->objs.begin(), seg->objs.end());
+    seg->obj_min = *lo;
+    seg->obj_max = *hi;
   }
+  seg->row_begin = std::move(row_begin);
+  seg->cols = std::move(cols);
+  const int64_t rows_total = seg->row_begin.back();
 
   // Footprint accounting against the plain representation, then codecs.
-  const size_t nkeys = seg->frames.size();
   int64_t raw = static_cast<int64_t>(nkeys) * 16 +
                 static_cast<int64_t>(seg->row_begin.size()) * 4;
   int64_t encoded = 0;
-  for (ColumnVec& col : seg->cols) {
-    raw += static_cast<int64_t>(col.EncodedBytes());
+  for (const ColumnVec& col : seg->cols) {
+    raw += static_cast<int64_t>(col.PlainBytes());
   }
   if (options.compress) {
     for (ColumnVec& col : seg->cols) CompressColumn(&col);
   }
-  for (ColumnVec& col : seg->cols) {
+  for (const ColumnVec& col : seg->cols) {
     encoded += static_cast<int64_t>(col.EncodedBytes());
     seg->codec_cols[static_cast<int>(col.codec_)] += 1;
   }
-
   if (options.compress && nkeys > 0) {
     // Bit-pack the key index: frames/objs as FOR deltas, row offsets as
     // fixed-width absolutes (prefix sums stay O(1) random access).

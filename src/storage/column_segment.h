@@ -1,9 +1,12 @@
 #ifndef EVA_STORAGE_COLUMN_SEGMENT_H_
 #define EVA_STORAGE_COLUMN_SEGMENT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,9 +46,9 @@ struct ViewKeyHash {
 /// integers, run-length for any repetitive lane, plain bit-packing for
 /// bools and dictionary codes, and a numeric dictionary for low-cardinality
 /// Int64/Double columns. At(i) reconstructs the exact Value that was
-/// stored — the columnar read path must be bit-identical to the row store
-/// it shadows (Value::Compare distinguishes Int64 from Double, so codecs
-/// never widen, quantize, or reorder).
+/// stored — the operator rows a view was materialized from must read back
+/// bit-identically (Value::Compare distinguishes Int64 from Double, so
+/// codecs never widen, quantize, or reorder).
 class ColumnVec {
  public:
   enum class Enc : uint8_t {
@@ -138,12 +141,17 @@ class ColumnVec {
   Codec codec() const { return codec_; }
   size_t size() const { return enc_ == Enc::kValue ? raw_.size() : n_; }
 
-  /// Heap bytes of the current physical representation (data lanes +
-  /// null bitmap + dictionary) — the number eviction accounting charges.
+  /// Bytes of the current physical representation (data lanes + null
+  /// bitmap + dictionary) — the number eviction accounting charges.
   size_t EncodedBytes() const;
+  /// Bytes the same cells take in the plain typed lane (equal to
+  /// EncodedBytes() for a plain column).
+  size_t PlainBytes() const;
+  /// Heap bytes held: lane capacities, not sizes.
+  size_t HeapBytes() const;
 
-  // Representation is internal to the storage layer; BuildColumnarSegment
-  // and the .evaseg codec fill it directly.
+  // Representation is internal to the storage layer; ColumnBuilder and the
+  // .evaseg codec fill it directly.
   Enc enc_ = Enc::kValue;
   Codec codec_ = Codec::kPlain;
   size_t n_ = 0;                      // logical row count (typed encodings)
@@ -179,9 +187,9 @@ class ColumnVec {
 /// materializing its hits. `valid` is the master flag — it is false when
 /// the non-null cells mix types or when integer magnitudes exceed the
 /// double-exact range, and consumers must then treat the column as
-/// unbounded. Zone maps are computed from the raw cells BEFORE any codec
-/// is applied, so skip decisions are independent of the compression
-/// configuration.
+/// unbounded. Zones are maintained cell by cell as rows are appended, so
+/// skip decisions never depend on the codecs or on when a segment was
+/// sealed.
 struct ZoneMapEntry {
   bool valid = false;
   DataType type = DataType::kNull;  // uniform non-null cell type
@@ -189,7 +197,41 @@ struct ZoneMapEntry {
   bool all_null = true;  // no non-null cell in the segment
   double num_min = 0;    // Int64 / Double / Bool(0,1) bounds
   double num_max = 0;
-  std::vector<std::string> strings;  // sorted distinct values (kString)
+  std::set<std::string> strings;  // distinct values (kString)
+
+  /// Folds one appended cell into the summary. Once invalid, a zone stays
+  /// invalid and is not updated further.
+  void Observe(const Value& v);
+};
+
+/// Zone summary of one whole view segment — sealed and open rows alike —
+/// handed to the probe path's zone-check callback: one entry per value
+/// column, plus the key bounds that the "id" and "obj" columns resolve to.
+struct SegmentZone {
+  SegmentZone() = default;
+  /// An empty segment: every column all-null (and therefore valid).
+  explicit SegmentZone(size_t num_cols) : cols(num_cols) {
+    for (ZoneMapEntry& z : cols) z.valid = true;
+  }
+
+  std::vector<ZoneMapEntry> cols;
+  int64_t keys = 0;
+  int64_t frame_min = 0;
+  int64_t frame_max = 0;
+  int64_t obj_min = 0;
+  int64_t obj_max = 0;
+
+  void ObserveKey(const ViewKey& key) {
+    if (keys++ == 0) {
+      frame_min = frame_max = key.frame;
+      obj_min = obj_max = key.obj;
+      return;
+    }
+    frame_min = std::min(frame_min, key.frame);
+    frame_max = std::max(frame_max, key.frame);
+    obj_min = std::min(obj_min, key.obj);
+    obj_max = std::max(obj_max, key.obj);
+  }
 };
 
 /// Seal-time storage configuration, threaded from EngineOptions through
@@ -201,11 +243,75 @@ struct SegmentBuildOptions {
   int bloom_bits_per_key = 0;  // 0 disables the per-segment Bloom filter
 };
 
-/// Immutable columnar projection of one view segment: keys sorted by
-/// (frame, obj) with prefix row offsets, one ColumnVec per value-schema
-/// field, and a zone map per column. Built lazily from the row store and
-/// shared via shared_ptr so a probe can keep reading a segment that a
-/// concurrent rebuild replaces. When built with compression the key index
+/// One column under construction, as a plain (uncompressed) ColumnVec
+/// lane. The lane is typed by its first non-null cell and falls back to
+/// raw Value storage once a cell of another type arrives; At() reads any
+/// appended cell back exactly. Finish() yields the plain column a seal
+/// compresses.
+class ColumnBuilder {
+ public:
+  void Append(const Value& v);
+  Value At(size_t i) const { return lane_.At(i); }
+  /// Heap bytes held by the lane (capacity, not size).
+  size_t HeapBytes() const;
+  /// The plain column: typed lanes with a null bitmap only when some cell
+  /// is null, a string dictionary in first-occurrence order, and raw Value
+  /// storage for mixed, all-null, or over-cardinality string columns.
+  ColumnVec Finish() const;
+
+ private:
+  void StartTyped(DataType t);  // all-null prefix -> typed lane
+  void MakeRaw();               // typed lane -> raw Values
+  std::vector<Value> RawCells() const;
+
+  ColumnVec lane_;
+  DataType type_ = DataType::kNull;  // kNull until the first non-null cell
+  size_t n_ = 0;
+  std::unordered_map<std::string, int32_t> dict_index_;
+};
+
+/// The open (unsealed) part of one view segment: keys in insertion order
+/// with their prefix row offsets, a flat hash index over the keys, and one
+/// ColumnBuilder per value column. MaterializedView::Put appends here;
+/// a seal merges it with the segment's sealed part and starts over.
+class SegmentBuilder {
+ public:
+  static constexpr size_t npos = static_cast<size_t>(-1);
+
+  explicit SegmentBuilder(size_t num_cols) : cols_(num_cols) {
+    row_begin_.push_back(0);
+  }
+
+  /// Appends `key` (which must be absent) with the cells of `rows`: row i
+  /// contributes rows[i][first_col + c] to column c, cells past the end of
+  /// a row read as NULL. Every appended key and cell is folded into `zone`.
+  void Append(const ViewKey& key, std::span<const Row* const> rows,
+              size_t first_col, SegmentZone* zone);
+
+  /// Insertion index of `key`, npos when absent.
+  size_t Find(const ViewKey& key) const;
+
+  size_t num_keys() const { return keys_.size(); }
+  size_t num_cols() const { return cols_.size(); }
+  int64_t num_rows() const { return row_begin_.back(); }
+  const ViewKey& key(size_t i) const { return keys_[i]; }
+  const std::vector<ViewKey>& keys() const { return keys_; }
+  /// Rows of key i are [row_begin(i), row_begin(i + 1)).
+  int32_t row_begin(size_t i) const { return row_begin_[i]; }
+  const std::vector<ColumnBuilder>& cols() const { return cols_; }
+  size_t HeapBytes() const;
+
+ private:
+  std::vector<ViewKey> keys_;
+  std::vector<int32_t> row_begin_;  // size keys + 1
+  std::vector<uint32_t> slots_;     // open addressing: key index + 1
+  std::vector<ColumnBuilder> cols_;
+};
+
+/// Immutable sealed part of one view segment: keys sorted by (frame, obj)
+/// with prefix row offsets and one ColumnVec per value-schema field.
+/// Shared via shared_ptr so a probe can keep reading a segment that a
+/// concurrent seal replaces. When built with compression the key index
 /// lives in bit-packed lanes (access via key_frame/key_obj/row_begin_at);
 /// a per-segment split-block Bloom filter over the keys short-circuits
 /// probe misses before the key-index search.
@@ -225,12 +331,10 @@ struct ColumnarSegment {
   BitPackedVec objs_p;
   BitPackedVec row_begin_p;
 
-  std::vector<ColumnVec> cols;      // one per value-schema field
-  std::vector<ZoneMapEntry> zones;  // parallel to cols
-  BloomFilter bloom;                // over HashViewKey of every key
-  int64_t obj_min = 0;  // over keys (classifier zone checks on "obj")
+  std::vector<ColumnVec> cols;  // one per value-schema field
+  BloomFilter bloom;            // over HashViewKey of every key
+  int64_t obj_min = 0;  // FOR base of objs_p
   int64_t obj_max = 0;
-  int64_t built_keys = 0;  // staleness check against SegmentInfo.keys
 
   /// Footprint accounting (docs/STORAGE.md): raw = the plain columnar
   /// representation (16 B/key index + 4 B/key offsets + plain lanes),
@@ -249,6 +353,7 @@ struct ColumnarSegment {
     return packed_keys ? obj_min + static_cast<int64_t>(objs_p.Get(i))
                        : objs[i];
   }
+  ViewKey key(size_t i) const { return {key_frame(i), key_obj(i)}; }
   int32_t row_begin_at(size_t i) const {
     return packed_keys
                ? static_cast<int32_t>(
@@ -264,13 +369,6 @@ struct ColumnarSegment {
   int64_t num_rows() const {
     size_t n = num_keys();
     return n == 0 ? 0 : row_begin_at(n);
-  }
-  int64_t frame_min() const {
-    return num_keys() == 0 ? 0 : key_frame(0);
-  }
-  int64_t frame_max() const {
-    size_t n = num_keys();
-    return n == 0 ? 0 : key_frame(n - 1);
   }
 
   /// Index of (frame, obj) in the sorted key arrays, searching from
@@ -288,23 +386,34 @@ struct ColumnarSegment {
     }
     return row;
   }
+
+  /// Heap bytes held (capacities of every lane, the key index and the
+  /// Bloom blocks), as opposed to the accounted encoded_bytes.
+  size_t HeapBytes() const;
 };
 
-/// Builds the columnar projection of one segment. `keys` is the segment's
-/// key list in insertion order (sorted internally); `entries` is the view's
-/// row store; `num_value_cols` the value-schema width. Rows concatenate in
-/// sorted-key order, so each key's rows are a contiguous range. `options`
-/// selects the seal-time codecs and Bloom filter; the reconstructed values
-/// are bit-identical for every configuration.
-std::shared_ptr<const ColumnarSegment> BuildColumnarSegment(
-    std::vector<ViewKey> keys,
-    const std::unordered_map<ViewKey, std::vector<Row>, ViewKeyHash>& entries,
-    size_t num_value_cols, const SegmentBuildOptions& options = {});
+/// Seals one segment: merges the sealed part (nullptr when none) with the
+/// open builder's keys in (frame, obj) order, then packs the result as
+/// PackSegment does. The lanes equal those of a segment built in one go
+/// from the same keys and rows, so the encoded bytes are a function of the
+/// segment's contents alone.
+std::shared_ptr<const ColumnarSegment> SealSegment(
+    const ColumnarSegment* sealed, const SegmentBuilder& open,
+    const SegmentBuildOptions& options);
+
+/// Packs sorted keys, their prefix row offsets (size keys + 1) and one
+/// column per value field into a sealed segment. With compression on,
+/// plain columns get the cheapest codec (columns that already carry one,
+/// as read from an .evaseg file, keep it), the key index is bit-packed,
+/// and a Bloom filter is built when `options` asks for one.
+std::shared_ptr<const ColumnarSegment> PackSegment(
+    const std::vector<ViewKey>& keys, std::vector<int32_t> row_begin,
+    std::vector<ColumnVec> cols, const SegmentBuildOptions& options);
 
 /// Rewrites one plain column in place with the cheapest applicable codec
 /// (byte cost, deterministic tie-break toward the earlier Codec value).
-/// Exposed for the codec differential tests; BuildColumnarSegment calls it
-/// for every column when compression is on.
+/// Exposed for the codec differential tests; PackSegment calls it for
+/// every column when compression is on.
 void CompressColumn(ColumnVec* col);
 
 }  // namespace eva::storage

@@ -262,13 +262,19 @@ std::string SerializeView(const std::string& name,
     out << " " << Escape(f.name) << " " << DataTypeName(f.type);
   }
   out << "\n";
-  for (const auto& [key, rows] : view.entries()) {
-    out << "key " << key.frame << " " << key.obj << " " << rows.size()
-        << "\n";
-    for (const Row& row : rows) {
-      out << "row";
-      for (const Value& v : row) out << " " << EncodeValue(v);
-      out << "\n";
+  for (const auto& [seg_id, seg] : view.SealedSegments()) {
+    for (size_t i = 0; i < seg->num_keys(); ++i) {
+      const int32_t begin = seg->row_begin_at(i);
+      const int32_t end = seg->row_begin_at(i + 1);
+      out << "key " << seg->key_frame(i) << " " << seg->key_obj(i) << " "
+          << end - begin << "\n";
+      for (int32_t r = begin; r < end; ++r) {
+        out << "row";
+        for (const ColumnVec& col : seg->cols) {
+          out << " " << EncodeValue(col.At(static_cast<size_t>(r)));
+        }
+        out << "\n";
+      }
     }
   }
   return out.str();
@@ -715,7 +721,12 @@ Status ParseSegmentBody(const std::string& content, const std::string& file,
   uint64_t nsegs;
   if (!r.Count(&nsegs)) return corrupt("segment count");
   // Stage everything; a failure anywhere installs nothing.
-  std::vector<std::pair<ViewKey, std::vector<Row>>> staged;
+  struct StagedSegment {
+    std::vector<ViewKey> keys;
+    std::vector<int32_t> row_begin;
+    std::vector<ColumnVec> cols;
+  };
+  std::vector<StagedSegment> staged;
   for (uint64_t s = 0; s < nsegs; ++s) {
     uint64_t nkeys;
     if (!r.Count(&nkeys)) return corrupt("key count");
@@ -753,25 +764,20 @@ Status ParseSegmentBody(const std::string& content, const std::string& file,
         return corrupt("column");
       }
     }
-    // Reconstruct the exact rows through the same At() the probe path
-    // uses — the decoded codec state was validated above, so every access
-    // is in bounds.
-    size_t row = 0;
+    // The decoded codec state was validated above, so the columns are
+    // adopted as they are: every At() the probe path makes is in bounds.
+    std::vector<int32_t> row_begin(keys.size() + 1, 0);
     for (size_t i = 0; i < keys.size(); ++i) {
-      std::vector<Row> rows;
-      rows.reserve(row_counts[i]);
-      for (uint32_t j = 0; j < row_counts[i]; ++j, ++row) {
-        Row out_row;
-        out_row.reserve(cols.size());
-        for (const ColumnVec& col : cols) out_row.push_back(col.At(row));
-        rows.push_back(std::move(out_row));
-      }
-      staged.emplace_back(keys[i], std::move(rows));
+      row_begin[i + 1] = row_begin[i] + static_cast<int32_t>(row_counts[i]);
     }
+    staged.push_back({std::move(keys), std::move(row_begin), std::move(cols)});
   }
   if (!r.done()) return corrupt("trailing bytes");
   MaterializedView* view = store->GetOrCreate(name, schema);
-  for (auto& [k, rows] : staged) view->Put(k, std::move(rows));
+  for (StagedSegment& seg : staged) {
+    view->AdoptSegment(seg.keys, std::move(seg.row_begin),
+                       std::move(seg.cols));
+  }
   return Status::OK();
 }
 
@@ -905,7 +911,6 @@ Status Quarantine(fault::FaultFs* fs, const std::string& dir,
 }
 
 Status SaveImpl(const ViewStore& store, const udf::UdfManager* manager,
-                bool write_views, bool carry_view_entries,
                 const std::string& dir, fault::FaultFs* fs,
                 const SaveOptions& options = {}) {
   EVA_RETURN_IF_ERROR(fs->CreateDirs(dir));
@@ -915,28 +920,21 @@ Status SaveImpl(const ViewStore& store, const udf::UdfManager* manager,
   next.generation =
       (old_state == ManifestState::kValid ? old.generation : 0) + 1;
   const std::string gen_tag = ".g" + std::to_string(next.generation);
-  if (carry_view_entries && old_state == ManifestState::kValid) {
-    for (const ManifestEntry& e : old.entries) {
-      if (!e.is_lifecycle) next.entries.push_back(e);
-    }
-  }
   auto write_atomic = [&](const std::string& file,
                           const std::string& body) -> Status {
     const std::string path = JoinPath(dir, file);
     EVA_RETURN_IF_ERROR(fs->WriteFile(path + ".tmp", body));
     return fs->Rename(path + ".tmp", path);
   };
-  if (write_views) {
-    for (const auto& [name, view] : store.views()) {
-      const bool seg_form = options.compressed_segments;
-      const std::string body = seg_form ? SerializeViewSegments(name, *view)
-                                        : SerializeView(name, *view);
-      const std::string file = SanitizeFilename(name) + gen_tag +
-                               (seg_form ? ".evaseg" : ".evaview");
-      EVA_RETURN_IF_ERROR(write_atomic(file, body));
-      next.entries.push_back(
-          {file, body.size(), Crc32(body), false, seg_form, name});
-    }
+  for (const auto& [name, view] : store.views()) {
+    const bool seg_form = options.compressed_segments;
+    const std::string body = seg_form ? SerializeViewSegments(name, *view)
+                                      : SerializeView(name, *view);
+    const std::string file = SanitizeFilename(name) + gen_tag +
+                             (seg_form ? ".evaseg" : ".evaview");
+    EVA_RETURN_IF_ERROR(write_atomic(file, body));
+    next.entries.push_back(
+        {file, body.size(), Crc32(body), false, seg_form, name});
   }
   if (manager != nullptr) {
     const std::string body = SerializeLifecycle(store, *manager);
@@ -1028,8 +1026,7 @@ Status SaveSession(const ViewStore& store, const udf::UdfManager& manager,
                    const SaveOptions& options) {
   fault::FaultFs plain;
   if (fs == nullptr) fs = &plain;
-  return SaveImpl(store, &manager, /*write_views=*/true,
-                  /*carry_view_entries=*/false, dir, fs, options);
+  return SaveImpl(store, &manager, dir, fs, options);
 }
 
 Result<int64_t> ManifestGeneration(const std::string& dir,
@@ -1051,16 +1048,7 @@ Result<int64_t> ManifestGeneration(const std::string& dir,
 
 Status SaveViewStore(const ViewStore& store, const std::string& dir) {
   fault::FaultFs plain;
-  return SaveImpl(store, nullptr, /*write_views=*/true,
-                  /*carry_view_entries=*/false, dir, &plain);
-}
-
-Status SaveLifecycleState(const ViewStore& store,
-                          const udf::UdfManager& manager,
-                          const std::string& dir) {
-  fault::FaultFs plain;
-  return SaveImpl(store, &manager, /*write_views=*/false,
-                  /*carry_view_entries=*/true, dir, &plain);
+  return SaveImpl(store, nullptr, dir, &plain);
 }
 
 Status LoadViewStoreEx(const std::string& dir, ViewStore* store,
@@ -1231,12 +1219,6 @@ Status LoadLifecycleStateEx(const std::string& dir, ViewStore* store,
 Status LoadViewStore(const std::string& dir, ViewStore* store) {
   RecoveryReport report;
   return LoadViewStoreEx(dir, store, nullptr, &report);
-}
-
-Status LoadLifecycleState(const std::string& dir, ViewStore* store,
-                          udf::UdfManager* manager) {
-  RecoveryReport report;
-  return LoadLifecycleStateEx(dir, store, manager, nullptr, &report);
 }
 
 Result<RecoveryReport> LoadSession(const std::string& dir, ViewStore* store,

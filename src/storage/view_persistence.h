@@ -103,21 +103,14 @@ Result<RecoveryReport> LoadSession(const std::string& dir, ViewStore* store,
 Result<int64_t> ManifestGeneration(const std::string& dir,
                                    fault::FaultFs* fs = nullptr);
 
-/// Legacy piecewise API (tests and pre-v2 callers). SaveViewStore commits
-/// a views-only manifest; SaveLifecycleState writes the lifecycle file and
-/// re-commits the manifest with the previous generation's view entries
-/// carried over (the SaveViewStore-then-SaveLifecycleState sequence is
-/// equivalent to one SaveSession, with two commit points instead of one).
+/// Views-only save and load (tests): SaveViewStore commits a manifest
+/// without lifecycle state; LoadViewStore is LoadViewStoreEx without a
+/// report.
 Status SaveViewStore(const ViewStore& store, const std::string& dir);
 Status LoadViewStore(const std::string& dir, ViewStore* store);
-Status SaveLifecycleState(const ViewStore& store,
-                          const udf::UdfManager& manager,
-                          const std::string& dir);
-Status LoadLifecycleState(const std::string& dir, ViewStore* store,
-                          udf::UdfManager* manager);
 
-/// Recovery-aware variants of the legacy loaders (LoadSession composes
-/// them). `fs` may be nullptr; `report` accumulates.
+/// The two halves of LoadSession, exposed for the recovery tests. `fs` may
+/// be nullptr; `report` accumulates.
 Status LoadViewStoreEx(const std::string& dir, ViewStore* store,
                        fault::FaultFs* fs, RecoveryReport* report);
 Status LoadLifecycleStateEx(const std::string& dir, ViewStore* store,
@@ -131,16 +124,18 @@ std::string EncodeValue(const Value& v);
 Result<Value> DecodeValue(const std::string& text);
 
 /// Binary `.evaseg` body for one view: every sealed segment's keys and
-/// codec-encoded columns (seals stale segments first; quiescence like
-/// entries()). Exposed for the codec fuzz/round-trip tests.
+/// codec-encoded columns (seals open rows first; runs between queries).
+/// Exposed for the codec fuzz/round-trip tests.
 std::string SerializeViewSegments(const std::string& name,
                                   const MaterializedView& view);
 
 /// Parses a `.evaseg` body, validates it exhaustively (lane sizes, dict
-/// code ranges, run offsets, key ordering), reconstructs the exact rows,
-/// and installs them into `store` (merging; existing keys win). A body
-/// that fails anywhere installs nothing — corrupt codec files underclaim,
-/// never crash and never surface wrong rows (reader_fuzz_test).
+/// code ranges, run offsets, key ordering), and installs it into `store`:
+/// each segment's decoded columns are adopted as a sealed segment, with no
+/// row round trip (MaterializedView::AdoptSegment; merging, existing keys
+/// win). A body that fails anywhere installs nothing — corrupt codec files
+/// underclaim, never crash and never surface wrong rows
+/// (reader_fuzz_test).
 Status ParseSegmentBody(const std::string& content, const std::string& file,
                         ViewStore* store);
 

@@ -2,66 +2,145 @@
 
 namespace eva::storage {
 
-const std::vector<Row>& MaterializedView::Get(const ViewKey& key) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return empty_;
-  return it->second;
-}
+namespace {
 
-const std::vector<Row>* MaterializedView::TryGet(const ViewKey& key) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
-void MaterializedView::Put(const ViewKey& key, std::vector<Row> rows,
-                           uint64_t tick, int64_t query_id) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto [it, inserted] = entries_.emplace(key, std::move(rows));
-  if (inserted) {
-    num_rows_ += static_cast<int64_t>(it->second.size());
-    int64_t seg_id = SegmentOf(key.frame);
-    SegmentInfo& seg = segments_[seg_id];
-    if (seg.keys == 0) seg.created_tick = tick;
-    seg.keys += 1;
-    seg.rows += static_cast<int64_t>(it->second.size());
-    seg.last_access_tick = tick;
-    seg.last_access_query = query_id;
-    if (query_id >= 0) last_access_query_ = query_id;
-    // Key-list append keeps the columnar rebuild O(segment keys); the
-    // sealed projection (if any) is now stale and rebuilt on next probe.
-    columns_[seg_id].keys.push_back(key);
-    if (capture_appends_) append_log_.push_back(key);
+// Rows [begin, end) of a column set — a sealed segment's ColumnVecs or an
+// open builder's ColumnBuilders — as value rows.
+template <typename Cols>
+std::vector<Row> CopyRows(const Cols& cols, int32_t begin, int32_t end) {
+  std::vector<Row> rows;
+  rows.reserve(static_cast<size_t>(end - begin));
+  for (int32_t r = begin; r < end; ++r) {
+    Row& row = rows.emplace_back();
+    row.reserve(cols.size());
+    for (const auto& col : cols) row.push_back(col.At(static_cast<size_t>(r)));
   }
+  return rows;
 }
 
-bool MaterializedView::ColumnarFreshLocked(
-    const std::vector<ViewKey>& keys) const {
-  int64_t cur = INT64_MIN;
-  bool first = true;
-  for (const ViewKey& key : keys) {
-    int64_t seg_id = SegmentOf(key.frame);
-    if (!first && seg_id == cur) continue;
-    first = false;
-    cur = seg_id;
-    auto it = columns_.find(seg_id);
-    if (it == columns_.end()) continue;  // empty segment: nothing to seal
-    if (it->second.columnar == nullptr ||
-        it->second.columnar->built_keys !=
-            static_cast<int64_t>(it->second.keys.size())) {
-      return false;
-    }
+}  // namespace
+
+size_t MaterializedView::FindSealed(const Segment& s, const ViewKey& key) {
+  const ColumnarSegment* sealed = s.sealed.get();
+  if (sealed == nullptr ||
+      !sealed->bloom.MayContain(HashViewKey(key.frame, key.obj))) {
+    return ColumnarSegment::npos;
+  }
+  // In a frame-keyed segment without gaps a key sits at its frame's offset
+  // from the first key; try that slot before the binary search.
+  const int64_t offset = key.frame - sealed->key_frame(0);
+  if (offset >= 0 && static_cast<size_t>(offset) < sealed->num_keys() &&
+      sealed->key(static_cast<size_t>(offset)) == key) {
+    return static_cast<size_t>(offset);
+  }
+  return sealed->FindKey(key.frame, key.obj, nullptr);
+}
+
+std::optional<std::vector<Row>> MaterializedView::TryGet(
+    const ViewKey& key) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto it = segments_.find(SegmentOf(key.frame));
+  if (it == segments_.end()) return std::nullopt;
+  const Segment& s = it->second;
+  if (size_t idx = FindSealed(s, key); idx != ColumnarSegment::npos) {
+    return CopyRows(s.sealed->cols, s.sealed->row_begin_at(idx),
+                    s.sealed->row_begin_at(idx + 1));
+  }
+  const size_t k = s.open != nullptr ? s.open->Find(key) : SegmentBuilder::npos;
+  if (k == SegmentBuilder::npos) return std::nullopt;
+  return CopyRows(s.open->cols(), s.open->row_begin(k),
+                  s.open->row_begin(k + 1));
+}
+
+bool MaterializedView::Put(const ViewKey& key,
+                           std::span<const Row* const> rows,
+                           size_t first_col, uint64_t tick,
+                           int64_t query_id) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  const int64_t seg_id = SegmentOf(key.frame);
+  auto it = segments_.find(seg_id);
+  if (it != segments_.end() &&
+      (FindSealed(it->second, key) != ColumnarSegment::npos ||
+       (it->second.open != nullptr &&
+        it->second.open->Find(key) != SegmentBuilder::npos))) {
+    return false;
+  }
+  if (it == segments_.end()) {
+    it = segments_.try_emplace(seg_id).first;
+    it->second.zone = SegmentZone(value_schema_.num_fields());
+    it->second.info.created_tick = tick;
+  }
+  Segment& s = it->second;
+  s.read.store(false, std::memory_order_relaxed);
+  if (s.open == nullptr) {
+    s.open = std::make_unique<SegmentBuilder>(value_schema_.num_fields());
+  }
+  s.open->Append(key, rows, first_col, &s.zone);
+  const int64_t nrows = static_cast<int64_t>(rows.size());
+  s.info.keys += 1;
+  s.info.rows += nrows;
+  s.info.last_access_tick = tick;
+  s.info.last_access_query = query_id;
+  num_keys_ += 1;
+  num_rows_ += nrows;
+  if (query_id >= 0) last_access_query_ = query_id;
+  if (capture_appends_) append_log_.push_back(key);
+  // A frame-keyed segment holding every frame of its range is complete: no
+  // further key can land in it, so it is sealed now, for good.
+  if (s.info.keys == segment_frames_ && s.zone.obj_min == -1 &&
+      s.zone.obj_max == -1) {
+    SealLocked(&s);
   }
   return true;
 }
 
-void MaterializedView::SealSegmentLocked(SegmentColumns* sc) const {
-  sc->columnar = BuildColumnarSegment(sc->keys, entries_,
-                                      value_schema_.num_fields(),
-                                      build_options_);
+bool MaterializedView::Put(const ViewKey& key, const std::vector<Row>& rows,
+                           uint64_t tick, int64_t query_id) {
+  std::vector<const Row*> ptrs;
+  ptrs.reserve(rows.size());
+  for (const Row& row : rows) ptrs.push_back(&row);
+  return Put(key, ptrs, 0, tick, query_id);
+}
+
+void MaterializedView::AdoptSegment(const std::vector<ViewKey>& keys,
+                                    std::vector<int32_t> row_begin,
+                                    std::vector<ColumnVec> cols) {
+  if (keys.empty()) return;
+  const int64_t seg_id = SegmentOf(keys.front().frame);
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  const bool adoptable = SegmentOf(keys.back().frame) == seg_id &&
+                         segments_.count(seg_id) == 0 &&
+                         cols.size() == value_schema_.num_fields();
+  if (!adoptable) {
+    lock.unlock();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      Put(keys[i], CopyRows(cols, row_begin[i], row_begin[i + 1]));
+    }
+    return;
+  }
+  Segment& s = segments_[seg_id];
+  s.zone = SegmentZone(cols.size());
+  for (const ViewKey& key : keys) s.zone.ObserveKey(key);
+  const size_t nrows = static_cast<size_t>(row_begin.back());
+  for (size_t c = 0; c < cols.size(); ++c) {
+    for (size_t r = 0; r < nrows; ++r) s.zone.cols[c].Observe(cols[c].At(r));
+  }
+  s.info.keys = static_cast<int64_t>(keys.size());
+  s.info.rows = static_cast<int64_t>(nrows);
+  s.sealed = PackSegment(keys, std::move(row_begin), std::move(cols),
+                         build_options_);
+  num_keys_ += s.info.keys;
+  num_rows_ += s.info.rows;
+  if (capture_appends_) {
+    append_log_.insert(append_log_.end(), keys.begin(), keys.end());
+  }
+}
+
+void MaterializedView::SealLocked(Segment* s) const {
+  s->sealed = SealSegment(s->sealed.get(), *s->open, build_options_);
+  s->open.reset();
   if (seal_totals_ != nullptr) {
-    const ColumnarSegment& seg = *sc->columnar;
+    const ColumnarSegment& seg = *s->sealed;
     seal_totals_->segments_sealed.fetch_add(1, std::memory_order_relaxed);
     seal_totals_->raw_bytes.fetch_add(seg.raw_bytes,
                                       std::memory_order_relaxed);
@@ -74,34 +153,20 @@ void MaterializedView::SealSegmentLocked(SegmentColumns* sc) const {
   }
 }
 
-void MaterializedView::SealTouchedLocked(
-    const std::vector<ViewKey>& keys) const {
-  int64_t cur = INT64_MIN;
-  bool first = true;
-  for (const ViewKey& key : keys) {
-    int64_t seg_id = SegmentOf(key.frame);
-    if (!first && seg_id == cur) continue;
-    first = false;
-    cur = seg_id;
-    auto it = columns_.find(seg_id);
-    if (it == columns_.end()) continue;
-    SegmentColumns& sc = it->second;
-    if (sc.columnar != nullptr &&
-        sc.columnar->built_keys == static_cast<int64_t>(sc.keys.size())) {
-      continue;
-    }
-    SealSegmentLocked(&sc);
+void MaterializedView::SealAllSegments() const {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  for (auto& [seg_id, s] : segments_) {
+    if (s.open != nullptr) SealLocked(&s);
+    s.read.store(true, std::memory_order_relaxed);
   }
 }
 
-void MaterializedView::SealAllSegments() const {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  for (auto& [seg_id, sc] : columns_) {
-    if (sc.columnar != nullptr &&
-        sc.columnar->built_keys == static_cast<int64_t>(sc.keys.size())) {
-      continue;
+void MaterializedView::SealReadLocked() const {
+  if (!build_options_.compress) return;
+  for (auto& [seg_id, s] : segments_) {
+    if (s.open != nullptr && s.read.load(std::memory_order_relaxed)) {
+      SealLocked(&s);
     }
-    SealSegmentLocked(&sc);
   }
 }
 
@@ -110,9 +175,9 @@ MaterializedView::SealedSegments() const {
   SealAllSegments();
   std::shared_lock<std::shared_mutex> lock(mu_);
   std::vector<std::pair<int64_t, std::shared_ptr<const ColumnarSegment>>> out;
-  out.reserve(columns_.size());
-  for (const auto& [seg_id, sc] : columns_) {
-    if (sc.columnar != nullptr) out.emplace_back(seg_id, sc.columnar);
+  out.reserve(segments_.size());
+  for (const auto& [seg_id, s] : segments_) {
+    if (s.sealed != nullptr) out.emplace_back(seg_id, s.sealed);
   }
   return out;
 }
@@ -120,88 +185,14 @@ MaterializedView::SealedSegments() const {
 ViewCompressionStats MaterializedView::CompressionStats() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   ViewCompressionStats out;
-  for (const auto& [seg_id, sc] : columns_) {
+  for (const auto& [seg_id, s] : segments_) {
     ++out.segments;
-    if (sc.columnar == nullptr ||
-        sc.columnar->built_keys != static_cast<int64_t>(sc.keys.size())) {
-      continue;
-    }
+    if (s.sealed == nullptr || s.open != nullptr) continue;
     ++out.sealed_segments;
-    out.raw_bytes += sc.columnar->raw_bytes;
-    out.encoded_bytes += sc.columnar->encoded_bytes;
+    out.raw_bytes += s.sealed->raw_bytes;
+    out.encoded_bytes += s.sealed->encoded_bytes;
   }
   return out;
-}
-
-void MaterializedView::ProbeBatchLocked(const std::vector<ViewKey>& keys,
-                                        const ZoneCheckFn& can_match,
-                                        ProbeResult* out) const {
-  int64_t cur = INT64_MIN;
-  bool first = true;
-  const std::shared_ptr<const ColumnarSegment>* seg_sp = nullptr;
-  const ColumnarSegment* seg = nullptr;
-  bool seg_admitted = true;
-  int32_t seg_slot = -1;  // out->segments index once this run is pinned
-  size_t cursor = 0;
-  for (const ViewKey& key : keys) {
-    int64_t seg_id = SegmentOf(key.frame);
-    if (first || seg_id != cur) {
-      first = false;
-      cur = seg_id;
-      cursor = 0;
-      seg_slot = -1;
-      auto it = columns_.find(seg_id);
-      seg_sp = it != columns_.end() ? &it->second.columnar : nullptr;
-      seg = seg_sp != nullptr ? seg_sp->get() : nullptr;
-      seg_admitted = true;
-      if (seg != nullptr && can_match != nullptr) {
-        ++out->segments_probed;
-        if (!can_match(*seg)) {
-          seg_admitted = false;
-          ++out->segments_skipped;
-        }
-      }
-    }
-    ProbeOutcome outcome;
-    if (seg != nullptr) {
-      // Bloom short-circuit: a negative proves the key absent, so the
-      // key-index search is skipped entirely. The outcome is identical to
-      // a failed FindKey (kMiss) — only the cost differs.
-      if (seg->bloom.enabled() &&
-          !seg->bloom.MayContain(HashViewKey(key.frame, key.obj))) {
-        ++out->bloom_negatives;
-        out->outcomes.push_back(outcome);
-        continue;
-      }
-      size_t idx = seg->FindKey(key.frame, key.obj, &cursor);
-      if (seg->bloom.enabled()) {
-        if (idx == ColumnarSegment::npos) {
-          ++out->bloom_fps;
-        } else {
-          ++out->bloom_hits;
-        }
-      }
-      if (idx != ColumnarSegment::npos) {
-        int32_t begin = seg->row_begin_at(idx);
-        int32_t end = seg->row_begin_at(idx + 1);
-        outcome.rows_count = end - begin;
-        if (seg_admitted) {
-          outcome.status = ProbeStatus::kHit;
-          // Pin the snapshot once per run, on its first hit; the caller
-          // reads rows in place (zero-copy) after the lock is released.
-          if (seg_slot < 0) {
-            seg_slot = static_cast<int32_t>(out->segments.size());
-            out->segments.push_back(*seg_sp);
-          }
-          outcome.seg_index = seg_slot;
-          outcome.rows_begin = begin;
-        } else {
-          outcome.status = ProbeStatus::kHitSkipped;
-        }
-      }
-    }
-    out->outcomes.push_back(outcome);
-  }
 }
 
 void MaterializedView::ProbeBatch(const std::vector<ViewKey>& keys,
@@ -209,18 +200,101 @@ void MaterializedView::ProbeBatch(const std::vector<ViewKey>& keys,
                                   ProbeResult* out) const {
   out->Clear();
   out->outcomes.reserve(keys.size());
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (ColumnarFreshLocked(keys)) {
-      ProbeBatchLocked(keys, can_match, out);
-      return;
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  int64_t cur = INT64_MIN;
+  bool first = true;
+  const Segment* s = nullptr;
+  bool admitted = true;
+  int32_t sealed_slot = -1;  // out->segments index once this run is pinned
+  size_t cursor = 0;
+  // Rows copied out of open builders, shared by the whole batch.
+  ColumnarSegment* copied = nullptr;
+  int32_t copied_slot = -1;
+  int32_t copied_rows = 0;
+  for (const ViewKey& key : keys) {
+    const int64_t seg_id = SegmentOf(key.frame);
+    if (first || seg_id != cur) {
+      first = false;
+      cur = seg_id;
+      cursor = 0;
+      sealed_slot = -1;
+      auto it = segments_.find(seg_id);
+      s = it != segments_.end() ? &it->second : nullptr;
+      if (s != nullptr) s->read.store(true, std::memory_order_relaxed);
+      admitted = true;
+      if (s != nullptr && can_match != nullptr) {
+        ++out->segments_probed;
+        if (!can_match(s->zone)) {
+          admitted = false;
+          ++out->segments_skipped;
+        }
+      }
     }
+    ProbeOutcome outcome;
+    if (s == nullptr) {
+      out->outcomes.push_back(outcome);
+      continue;
+    }
+    // Sealed part first. A Bloom negative proves the key absent there, so
+    // the key-index search is skipped; only the cost differs.
+    size_t idx = ColumnarSegment::npos;
+    if (const ColumnarSegment* seg = s->sealed.get(); seg != nullptr) {
+      if (seg->bloom.enabled() &&
+          !seg->bloom.MayContain(HashViewKey(key.frame, key.obj))) {
+        ++out->bloom_negatives;
+      } else {
+        idx = seg->FindKey(key.frame, key.obj, &cursor);
+        if (seg->bloom.enabled()) {
+          ++(idx == ColumnarSegment::npos ? out->bloom_fps
+                                          : out->bloom_hits);
+        }
+      }
+    }
+    const SegmentBuilder* open = nullptr;
+    int32_t begin = 0;
+    if (idx != ColumnarSegment::npos) {
+      begin = s->sealed->row_begin_at(idx);
+      outcome.rows_count = s->sealed->row_begin_at(idx + 1) - begin;
+    } else if (s->open != nullptr &&
+               (idx = s->open->Find(key)) != SegmentBuilder::npos) {
+      open = s->open.get();
+      begin = open->row_begin(idx);
+      outcome.rows_count = open->row_begin(idx + 1) - begin;
+    }
+    if (idx != ColumnarSegment::npos) {
+      outcome.status = admitted ? ProbeStatus::kHit : ProbeStatus::kHitSkipped;
+    }
+    if (outcome.status == ProbeStatus::kHit && open == nullptr) {
+      // Pin the snapshot once per run, on its first hit; the caller reads
+      // rows in place (zero-copy) after the lock is released.
+      if (sealed_slot < 0) {
+        sealed_slot = static_cast<int32_t>(out->segments.size());
+        out->segments.push_back(s->sealed);
+      }
+      outcome.seg_index = sealed_slot;
+      outcome.rows_begin = begin;
+    } else if (outcome.status == ProbeStatus::kHit) {
+      // The open lanes grow under later Puts, so the rows are copied out
+      // while the lock is held.
+      if (copied == nullptr) {
+        auto seg = std::make_shared<ColumnarSegment>();
+        seg->cols.resize(open->num_cols());
+        copied = seg.get();
+        copied_slot = static_cast<int32_t>(out->segments.size());
+        out->segments.push_back(std::move(seg));
+      }
+      outcome.seg_index = copied_slot;
+      outcome.rows_begin = copied_rows;
+      copied_rows += outcome.rows_count;
+      for (size_t c = 0; c < open->num_cols(); ++c) {
+        for (int32_t r = begin; r < begin + outcome.rows_count; ++r) {
+          copied->cols[c].raw_.push_back(
+              open->cols()[c].At(static_cast<size_t>(r)));
+        }
+      }
+    }
+    out->outcomes.push_back(outcome);
   }
-  // A touched segment grew since its last seal: rebuild its columnar
-  // projection under the exclusive lock, then serve from there.
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  SealTouchedLocked(keys);
-  ProbeBatchLocked(keys, can_match, out);
 }
 
 void MaterializedView::RecordAccess(int64_t frame, uint64_t tick,
@@ -228,51 +302,65 @@ void MaterializedView::RecordAccess(int64_t frame, uint64_t tick,
   std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = segments_.find(SegmentOf(frame));
   if (it == segments_.end()) return;
-  it->second.last_access_tick = tick;
-  it->second.last_access_query = query_id;
+  it->second.info.last_access_tick = tick;
+  it->second.info.last_access_query = query_id;
   if (query_id >= 0) last_access_query_ = query_id;
 }
 
-double MaterializedView::SegmentBytesLocked(int64_t seg_id,
-                                            const SegmentInfo& info) const {
-  if (build_options_.compress) {
-    auto it = columns_.find(seg_id);
-    if (it != columns_.end() && it->second.columnar != nullptr &&
-        it->second.columnar->built_keys ==
-            static_cast<int64_t>(it->second.keys.size())) {
-      return static_cast<double>(it->second.columnar->encoded_bytes);
-    }
+double MaterializedView::SegmentBytesLocked(const Segment& s) const {
+  if (build_options_.compress && s.read.load(std::memory_order_relaxed) &&
+      s.open == nullptr && s.sealed != nullptr) {
+    return static_cast<double>(s.sealed->encoded_bytes);
   }
-  // Synthetic pre-codec estimate (§5.2): 16 B/key + 10 B/cell. Unsealed
-  // segments are charged at this rate until their first seal; the
-  // lifecycle manager seals everything before enforcing the budget so the
-  // eviction decision never depends on probe history.
-  return 16.0 * static_cast<double>(info.keys) +
-         static_cast<double>(info.rows) *
+  // Synthetic pre-codec estimate (§5.2): 16 B/key + 10 B/cell. A segment
+  // is charged at this rate from a Put until it is next probed or sealed
+  // by SealAllSegments; the lifecycle manager seals everything before
+  // enforcing the budget, so eviction decisions see encoded bytes only.
+  return 16.0 * static_cast<double>(s.info.keys) +
+         static_cast<double>(s.info.rows) *
              static_cast<double>(value_schema_.num_fields()) * 10.0;
 }
 
 double MaterializedView::SizeBytes() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  SealReadLocked();
   double bytes = 0;
-  for (const auto& [id, info] : segments_) {
-    bytes += SegmentBytesLocked(id, info);
+  for (const auto& [id, s] : segments_) bytes += SegmentBytesLocked(s);
+  return bytes;
+}
+
+double MaterializedView::HeapBytes() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  // A map node per segment plus what each part holds.
+  double bytes = 0;
+  for (const auto& [id, s] : segments_) {
+    bytes += static_cast<double>(sizeof(Segment) + 32 +
+                                 s.zone.cols.capacity() *
+                                     sizeof(ZoneMapEntry));
+    for (const ZoneMapEntry& z : s.zone.cols) {
+      bytes += static_cast<double>(z.strings.size()) * 64;
+    }
+    if (s.sealed != nullptr) {
+      bytes += static_cast<double>(s.sealed->HeapBytes());
+    }
+    if (s.open != nullptr) bytes += static_cast<double>(s.open->HeapBytes());
   }
   return bytes;
 }
 
 std::vector<SegmentStats> MaterializedView::Segments() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  SealReadLocked();
   std::vector<SegmentStats> out;
   out.reserve(segments_.size());
-  for (const auto& [id, info] : segments_) {
-    SegmentStats s;
-    s.segment_id = id;
-    s.first_frame = id * segment_frames_;
-    s.frame_end = (id + 1) * segment_frames_;
-    s.bytes = SegmentBytesLocked(id, info);
-    s.info = info;
-    out.push_back(s);
+  for (const auto& [id, s] : segments_) {
+    SegmentStats st;
+    st.segment_id = id;
+    st.first_frame = id * segment_frames_;
+    st.frame_end = (id + 1) * segment_frames_;
+    st.bytes = SegmentBytesLocked(s);
+    st.info = s.info;
+    out.push_back(st);
   }
   return out;
 }
@@ -284,22 +372,13 @@ EvictedSegment MaterializedView::EvictSegment(int64_t segment_id) {
   ev.frame_end = (segment_id + 1) * segment_frames_;
   auto it = segments_.find(segment_id);
   if (it == segments_.end()) return ev;
+  SealReadLocked();
   // Charge what the segment was accounted at (encoded bytes when sealed
-  // fresh under codecs, the synthetic formula otherwise).
-  ev.bytes = SegmentBytesLocked(segment_id, it->second);
-  // The per-segment key list makes eviction O(segment keys) instead of a
-  // scan over every entry of the view.
-  auto cit = columns_.find(segment_id);
-  if (cit != columns_.end()) {
-    for (const ViewKey& key : cit->second.keys) {
-      auto e = entries_.find(key);
-      if (e == entries_.end()) continue;
-      ev.keys += 1;
-      ev.rows += static_cast<int64_t>(e->second.size());
-      entries_.erase(e);
-    }
-    columns_.erase(cit);
-  }
+  // under codecs, the synthetic formula otherwise).
+  ev.bytes = SegmentBytesLocked(it->second);
+  ev.keys = it->second.info.keys;
+  ev.rows = it->second.info.rows;
+  num_keys_ -= ev.keys;
   num_rows_ -= ev.rows;
   segments_.erase(it);
   return ev;
@@ -310,11 +389,12 @@ void MaterializedView::RestoreSegmentStamps(int64_t segment_id,
   std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = segments_.find(segment_id);
   if (it == segments_.end()) return;
-  // keys/rows stay as recomputed from the reloaded entries; only the
+  // keys/rows stay as recomputed from the reloaded contents; only the
   // eviction-relevant stamps are restored.
-  it->second.created_tick = info.created_tick;
-  it->second.last_access_tick = info.last_access_tick;
-  it->second.last_access_query = info.last_access_query;
+  SegmentInfo& seg = it->second.info;
+  seg.created_tick = info.created_tick;
+  seg.last_access_tick = info.last_access_tick;
+  seg.last_access_query = info.last_access_query;
   if (info.last_access_query > last_access_query_) {
     last_access_query_ = info.last_access_query;
   }
@@ -332,16 +412,13 @@ MaterializedView* ViewStore::GetOrCreate(const std::string& name,
     if (capture_appends_) view->set_capture_appends(true);
     it = views_.emplace(name, std::move(view)).first;
   }
-  Touch(name);
   return it->second.get();
 }
 
 MaterializedView* ViewStore::Find(const std::string& name) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = views_.find(name);
-  if (it == views_.end()) return nullptr;
-  Touch(name);
-  return it->second.get();
+  return it == views_.end() ? nullptr : it->second.get();
 }
 
 const MaterializedView* ViewStore::Find(const std::string& name) const {
@@ -350,37 +427,18 @@ const MaterializedView* ViewStore::Find(const std::string& name) const {
   return it == views_.end() ? nullptr : it->second.get();
 }
 
-int ViewStore::EvictToBudget(double max_bytes) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  int dropped = 0;
-  while (TotalSizeBytesLocked() > max_bytes && !views_.empty()) {
-    // Find the least-recently-used view.
-    std::string victim;
-    uint64_t oldest = ~uint64_t{0};
-    for (const auto& [name, view] : views_) {
-      auto it = access_.find(name);
-      uint64_t tick = it == access_.end() ? 0 : it->second;
-      if (tick < oldest) {
-        oldest = tick;
-        victim = name;
-      }
-    }
-    views_.erase(victim);
-    access_.erase(victim);
-    ++dropped;
-  }
-  return dropped;
-}
-
-double ViewStore::TotalSizeBytesLocked() const {
+double ViewStore::TotalSizeBytes() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
   double total = 0;
   for (const auto& [name, view] : views_) total += view->SizeBytes();
   return total;
 }
 
-double ViewStore::TotalSizeBytes() const {
+double ViewStore::HeapBytes() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return TotalSizeBytesLocked();
+  double total = 0;
+  for (const auto& [name, view] : views_) total += view->HeapBytes();
+  return total;
 }
 
 }  // namespace eva::storage

@@ -7,9 +7,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/row.h"
@@ -64,22 +65,24 @@ struct ProbeOutcome {
   int32_t rows_count = 0;  // stored row count (kHit and kHitSkipped)
 };
 
-/// Result of one batch probe. Zero-copy: hits reference rows inside pinned
-/// ColumnarSegment snapshots rather than materialized copies — the caller
-/// reads cells via segment(oc).cols[c].At(row) (or RowAt). The pins keep
-/// each snapshot alive past the probe's lock, and segments are immutable
-/// once built (rebuilds swap in a fresh one), so the references stay valid
-/// under concurrent Puts, reseals, and eviction. Reusable across batches
-/// (Clear keeps capacity).
+/// Result of one batch probe. Hits in a segment's sealed part are
+/// zero-copy: they reference rows inside pinned ColumnarSegment snapshots,
+/// which are immutable (a seal swaps in a fresh one), so the references
+/// stay valid after the probe's lock is released, under concurrent Puts,
+/// seals and eviction. Hits in a segment's open part are copied out, under
+/// the lock, into one per-batch segment of raw Value lanes. Either way the
+/// caller reads cells via segment(oc).cols[c].At(row) (or RowAt).
+/// Reusable across batches (Clear keeps capacity).
 struct ProbeResult {
   std::vector<ProbeOutcome> outcomes;  // parallel to the probed keys
   /// Snapshots of the segments the batch hit, pinned for the caller.
   std::vector<std::shared_ptr<const ColumnarSegment>> segments;
   int64_t segments_probed = 0;   // distinct segment runs zone-checked
   int64_t segments_skipped = 0;  // runs rejected by the zone callback
-  /// Split-block Bloom filter outcomes (zero when segments carry no
-  /// filter). A negative proves absence, so the key-index search was
-  /// skipped; a false positive paid the search and still missed.
+  /// Split-block Bloom filter outcomes over sealed parts (zero when
+  /// segments carry no filter). A negative proves the key absent from the
+  /// sealed part, so its key-index search was skipped; a false positive
+  /// paid the search and still missed there.
   int64_t bloom_hits = 0;
   int64_t bloom_negatives = 0;
   int64_t bloom_fps = 0;
@@ -101,13 +104,14 @@ struct ProbeResult {
 
 /// Zone-map admission callback: returns false when no stored row of the
 /// segment can satisfy the caller's residual predicate. Invoked under the
-/// view lock, once per segment run per batch — it must not reenter the
-/// view and must be a pure function of the segment (determinism).
-using ZoneCheckFn = std::function<bool(const ColumnarSegment&)>;
+/// view lock, once per segment run per batch, with the zone of the whole
+/// segment (sealed and open rows) — it must not reenter the view and must
+/// be a pure function of the zone (determinism).
+using ZoneCheckFn = std::function<bool(const SegmentZone&)>;
 
 /// Cumulative seal-time codec accounting, shared by every view of a
 /// ViewStore (atomics: seals happen under per-view locks on any thread).
-/// Monotone — bytes are added each time a segment is (re)built, so the
+/// Monotone — bytes are added each time a segment is sealed, so the
 /// engine can publish them as `_total` counters.
 struct SealTotals {
   std::atomic<int64_t> segments_sealed{0};
@@ -116,11 +120,11 @@ struct SealTotals {
   std::atomic<int64_t> codec_cols[ColumnVec::kNumCodecs] = {};
 };
 
-/// Current (not cumulative) codec footprint of one view's sealed-fresh
-/// segments — the `.views` shell listing and /views snapshot surface it.
+/// Current (not cumulative) codec footprint of one view's sealed segments
+/// — the `.views` shell listing and /views snapshot surface it.
 struct ViewCompressionStats {
   int64_t segments = 0;         // segments with any keys
-  int64_t sealed_segments = 0;  // of those, sealed and fresh
+  int64_t sealed_segments = 0;  // of those, sealed with no open rows
   int64_t raw_bytes = 0;        // plain columnar footprint of sealed ones
   int64_t encoded_bytes = 0;    // held footprint of sealed ones
 };
@@ -131,15 +135,19 @@ struct ViewCompressionStats {
 /// OUTER JOIN + IS NULL pass-through guard of the materialization-aware
 /// rewrite (§4.4, Fig. 4) depends on this.
 ///
-/// Concurrency (docs/RUNTIME.md, docs/STORAGE.md): probes (Has/Get/TryGet/
+/// Layout (docs/STORAGE.md): the view is a map of frame-range segments.
+/// Each segment holds its rows exactly once, as typed column lanes: an
+/// immutable sealed part (codec-compressed, Bloom-filtered) plus an open
+/// SegmentBuilder that Put appends to. A seal merges the two and re-runs
+/// the codecs: before budget enforcement and persistence
+/// (SealAllSegments), when a probed segment's bytes are accounted, and
+/// when a frame-keyed segment holds every frame of its range — never on a
+/// probe.
+///
+/// Concurrency (docs/RUNTIME.md, docs/STORAGE.md): probes (TryGet/
 /// ProbeBatch) take a shared lock and may run concurrently from any number
-/// of runtime workers; materialization (Put) and columnar sealing take the
-/// lock exclusively. Entries are append-only and never mutated after
-/// insertion, and std::unordered_map guarantees reference stability across
-/// rehash, so the row pointer returned by Get/TryGet stays valid under
-/// concurrent Puts. entries() exposes the raw map for persistence /
-/// eviction and requires external quiescence (driver thread, no workers in
-/// flight) — the engine only calls it between queries.
+/// of runtime workers; Put, seals and eviction take it exclusively. What a
+/// probe returns stays valid after the lock is released (see ProbeResult).
 class MaterializedView {
  public:
   MaterializedView(std::string name, Schema value_schema)
@@ -148,39 +156,43 @@ class MaterializedView {
   const std::string& name() const { return name_; }
   const Schema& value_schema() const { return value_schema_; }
 
-  bool Has(const ViewKey& key) const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return entries_.count(key) > 0;
-  }
+  /// Point probe: a copy of the rows stored for `key` (empty when the UDF
+  /// produced none), std::nullopt when the key is absent.
+  std::optional<std::vector<Row>> TryGet(const ViewKey& key) const;
 
-  /// Result rows for `key`; empty when absent or when the UDF produced no
-  /// rows for that input. The reference stays valid under concurrent Puts
-  /// (append-only store, node-stable map).
-  const std::vector<Row>& Get(const ViewKey& key) const;
-
-  /// Single-acquisition point probe: presence check and row fetch under one
-  /// shared lock (replaces the Has()+Get() pair and its TOCTOU window).
-  /// nullptr when absent; the pointer stays valid under concurrent Puts.
-  const std::vector<Row>* TryGet(const ViewKey& key) const;
-
-  /// Batch probe over the columnar read path: one lock acquisition for the
-  /// whole batch, a cursor-assisted search per key over the frame-sorted
-  /// segment arrays (O(1) per key for ascending batches), and zero-copy
-  /// results referencing pinned segment snapshots (see ProbeResult).
-  /// Lazily (re)builds the columnar projection of any touched segment that
-  /// is stale relative to its row store. When `can_match` is non-null it
-  /// is consulted once per segment run; a rejected segment's hits come
-  /// back kHitSkipped with no row references. Keys should be
-  /// frame-ascending for the cursor to amortize, but any order is correct.
+  /// Batch probe: one lock acquisition for the whole batch, a
+  /// cursor-assisted search per key over each sealed part (O(1) per key
+  /// for ascending batches), a hash lookup in each open part, and results
+  /// that stay readable after the lock (see ProbeResult). When `can_match`
+  /// is non-null it is consulted once per segment run; a rejected
+  /// segment's hits come back kHitSkipped with no row references. Keys
+  /// should be frame-ascending for the cursor to amortize, but any order
+  /// is correct. Every touched segment is marked read for byte accounting
+  /// (see SizeBytes).
   void ProbeBatch(const std::vector<ViewKey>& keys,
                   const ZoneCheckFn& can_match, ProbeResult* out) const;
 
-  /// Records the UDF's results for `key` (idempotent; re-puts of an
-  /// existing key are ignored, matching append-only STORE semantics).
-  /// `tick` / `query_id` stamp the key's segment for eviction scoring;
-  /// the defaults keep pre-lifecycle callers compiling unchanged.
-  void Put(const ViewKey& key, std::vector<Row> rows, uint64_t tick = 0,
-           int64_t query_id = -1);
+  /// Records the UDF's results for `key` — the cells
+  /// rows[i][first_col, first_col + width) of each row, copied straight
+  /// into the segment's open lanes — and returns true. Re-puts of an
+  /// existing key are ignored and return false (append-only STORE
+  /// semantics). `tick` / `query_id` stamp the key's segment for eviction
+  /// scoring.
+  bool Put(const ViewKey& key, std::span<const Row* const> rows,
+           size_t first_col, uint64_t tick, int64_t query_id);
+  /// Convenience form over whole value rows (replay, reload, tests).
+  bool Put(const ViewKey& key, const std::vector<Row>& rows,
+           uint64_t tick = 0, int64_t query_id = -1);
+
+  /// Installs one segment read back from an .evaseg file: sorted keys,
+  /// prefix row offsets (size keys + 1) and decoded columns. The columns
+  /// are adopted as the segment's sealed part without a row round trip
+  /// when the keys fill one empty segment; otherwise (a different segment
+  /// width, or keys already present) each key goes through Put, existing
+  /// keys winning.
+  void AdoptSegment(const std::vector<ViewKey>& keys,
+                    std::vector<int32_t> row_begin,
+                    std::vector<ColumnVec> cols);
 
   /// Refreshes the access stamp of `frame`'s segment after a successful
   /// probe (ViewJoin hit). No-op when the segment holds no keys.
@@ -188,68 +200,73 @@ class MaterializedView {
 
   int64_t num_keys() const {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    return static_cast<int64_t>(entries_.size());
+    return num_keys_;
   }
   int64_t num_rows() const {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return num_rows_;
   }
 
-  /// Iteration over all (key, rows) entries (persistence, eviction).
-  /// Requires quiescence: no concurrent Put may be in flight.
-  const std::unordered_map<ViewKey, std::vector<Row>, ViewKeyHash>&
-  entries() const {
-    return entries_;
-  }
-
-  /// Estimated on-disk footprint of the materialized results (§5.2).
+  /// Estimated on-disk footprint of the materialized results (§5.2):
+  /// under codecs, a segment probed or sealed by SealAllSegments since its
+  /// last Put is charged its encoded bytes (its open rows are sealed
+  /// first), any other segment the synthetic per-key/per-cell formula.
   double SizeBytes() const;
 
+  /// Heap bytes the view holds (lane capacities of sealed and open parts,
+  /// key indexes, Bloom blocks, zone maps) — what SizeBytes accounts for,
+  /// measured instead of estimated.
+  double HeapBytes() const;
+
   /// Segment-granular views of the footprint. Snapshot; bytes per segment
-  /// use the SizeBytes() formula restricted to the segment's keys/rows.
+  /// as in SizeBytes().
   std::vector<SegmentStats> Segments() const;
 
   /// Drops every key whose frame falls in `segment_id`'s range and returns
   /// what was removed (zeroed result when the segment is empty/unknown).
-  /// Requires quiescence like entries(): the lifecycle manager only evicts
-  /// from the driver thread between queries.
+  /// The lifecycle manager only evicts from the driver thread between
+  /// queries.
   EvictedSegment EvictSegment(int64_t segment_id);
 
   /// Restores a segment's access stamps (persistence reload).
   void RestoreSegmentStamps(int64_t segment_id, const SegmentInfo& info);
 
   int64_t segment_frames() const { return segment_frames_; }
+  /// Id of the segment holding `frame`'s keys. Floor division, so negative
+  /// frames (never produced, but cheap to get right) still map to a stable
+  /// segment.
+  int64_t SegmentOf(int64_t frame) const {
+    int64_t q = frame / segment_frames_;
+    if (frame % segment_frames_ != 0 && frame < 0) --q;
+    return q;
+  }
   void set_segment_frames(int64_t frames) {
     segment_frames_ = frames > 0 ? frames : 1;
   }
 
   /// Seal-time storage configuration (codecs + Bloom). Takes effect at the
-  /// next (re)seal; the engine sets it before any Put. Reconstruction of
+  /// next seal; the engine sets it before any Put. Reconstruction of
   /// values is bit-identical for every configuration.
   void set_build_options(const SegmentBuildOptions& options) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     build_options_ = options;
   }
-  SegmentBuildOptions build_options() const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return build_options_;
-  }
   /// Sink for cumulative seal accounting (owned by the ViewStore).
   void set_seal_totals(SealTotals* totals) { seal_totals_ = totals; }
 
-  /// Seals (or refreshes) the columnar projection of every segment. The
-  /// lifecycle manager calls it before byte accounting so the footprint is
-  /// the encoded one regardless of probe history; persistence calls it so
-  /// the on-disk codec matches the sealed state. Driver-thread cadence,
-  /// but safe under concurrent probes (exclusive lock).
+  /// Seals every segment with open rows. The lifecycle manager calls it
+  /// before byte accounting so the footprint is the encoded one;
+  /// persistence calls it so the on-disk codec matches the sealed state.
+  /// Driver-thread cadence, but safe under concurrent probes (exclusive
+  /// lock).
   void SealAllSegments() const;
 
-  /// Sealed segments by id, sealing stale ones first. Requires quiescence
-  /// like entries() (persistence runs between queries).
+  /// Sealed segments by id, sealing open rows first. Persistence runs it
+  /// between queries.
   std::vector<std::pair<int64_t, std::shared_ptr<const ColumnarSegment>>>
   SealedSegments() const;
 
-  /// Current codec footprint over sealed-fresh segments.
+  /// Current codec footprint over segments with no open rows.
   ViewCompressionStats CompressionStats() const;
 
   /// Id of the last query that probed or materialized into this view
@@ -261,8 +278,8 @@ class MaterializedView {
 
   /// WAL append capture: while enabled, every key Put actually inserts
   /// (re-puts excluded) is recorded in insertion order. The engine drains
-  /// the log at each group-commit point via TakeAppendedKeys — a
-  /// driver-thread quiescence call like entries().
+  /// the log at each group-commit point via TakeAppendedKeys, on the
+  /// driver thread between queries.
   void set_capture_appends(bool enabled) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     capture_appends_ = enabled;
@@ -276,50 +293,39 @@ class MaterializedView {
   }
 
  private:
-  /// Per-segment columnar state: the key list maintained on Put (so a
-  /// rebuild is O(segment keys), not O(view keys)) and the lazily sealed
-  /// columnar projection. `columnar` is stale whenever its built_keys
-  /// differs from keys.size() — segments only grow between evictions, and
-  /// eviction drops the whole entry.
-  struct SegmentColumns {
-    std::vector<ViewKey> keys;  // insertion order
-    std::shared_ptr<const ColumnarSegment> columnar;
+  /// One frame-range segment: each key and row lives either in the sealed
+  /// part or in the open builder, never in both.
+  struct Segment {
+    SegmentInfo info;
+    SegmentZone zone;  // over sealed and open rows
+    std::shared_ptr<const ColumnarSegment> sealed;  // null until sealed
+    std::unique_ptr<SegmentBuilder> open;           // null when empty
+    /// Probed or sealed by SealAllSegments since the last Put: the
+    /// segment is charged its encoded bytes (see SegmentBytesLocked).
+    /// Atomic: probes set it under the shared lock.
+    mutable std::atomic<bool> read{false};
   };
 
-  int64_t SegmentOf(int64_t frame) const {
-    // Floor division so negative frames (never produced, but cheap to get
-    // right) still map to a stable segment.
-    int64_t q = frame / segment_frames_;
-    if (frame % segment_frames_ != 0 && frame < 0) --q;
-    return q;
-  }
-
-  /// True when every segment touched by `keys` has a fresh columnar
-  /// projection (or no keys at all). Caller holds mu_ (any mode).
-  bool ColumnarFreshLocked(const std::vector<ViewKey>& keys) const;
-  /// Builds/refreshes the columnar projection of every stale touched
-  /// segment. Caller holds mu_ exclusively.
-  void SealTouchedLocked(const std::vector<ViewKey>& keys) const;
-  /// (Re)builds one segment's projection and records seal accounting.
-  /// Caller holds mu_ exclusively.
-  void SealSegmentLocked(SegmentColumns* sc) const;
-  /// Charged footprint of one segment: the encoded bytes when codecs are
-  /// on and the segment is sealed fresh, the synthetic §5.2 formula
-  /// otherwise (identical to the pre-codec accounting). Caller holds mu_.
-  double SegmentBytesLocked(int64_t seg_id, const SegmentInfo& info) const;
-  /// Serves the batch; every touched segment must be fresh. Caller holds
-  /// mu_ (any mode).
-  void ProbeBatchLocked(const std::vector<ViewKey>& keys,
-                        const ZoneCheckFn& can_match, ProbeResult* out) const;
+  /// Key index of `key` in `s`'s sealed part (npos when absent there).
+  static size_t FindSealed(const Segment& s, const ViewKey& key);
+  /// Merges the open builder into the sealed part and records seal
+  /// accounting. Caller holds mu_ exclusively.
+  void SealLocked(Segment* s) const;
+  /// Seals the open rows of every segment that is charged encoded bytes,
+  /// so SegmentBytesLocked can read them. Caller holds mu_ exclusively.
+  void SealReadLocked() const;
+  /// Charged footprint of one segment: with codecs on, the encoded bytes
+  /// once the segment was probed or sealed by SealAllSegments since its
+  /// last Put; the synthetic §5.2 formula otherwise (identical to the
+  /// pre-codec accounting). Caller holds mu_, after SealReadLocked.
+  double SegmentBytesLocked(const Segment& s) const;
 
   std::string name_;
   Schema value_schema_;
   mutable std::shared_mutex mu_;
-  std::unordered_map<ViewKey, std::vector<Row>, ViewKeyHash> entries_;
-  std::map<int64_t, SegmentInfo> segments_;
-  /// Columnar read projection, keyed like segments_. Mutable: sealing is a
-  /// read-path cache fill (under the exclusive lock).
-  mutable std::map<int64_t, SegmentColumns> columns_;
+  /// Mutable: a seal changes the representation, never the contents.
+  mutable std::map<int64_t, Segment> segments_;
+  int64_t num_keys_ = 0;
   int64_t num_rows_ = 0;
   int64_t segment_frames_ = 512;
   SegmentBuildOptions build_options_;
@@ -327,14 +333,13 @@ class MaterializedView {
   int64_t last_access_query_ = -1;
   bool capture_appends_ = false;
   std::vector<ViewKey> append_log_;  // keys inserted since the last drain
-  std::vector<Row> empty_;
 };
 
 /// Registry of materialized views, one per UDF signature (§3.1 step 2).
 ///
 /// Concurrency: registry operations (GetOrCreate / Find / totals) are
-/// guarded by a shared_mutex — concurrent lookups are shared; creation,
-/// eviction, and LRU bookkeeping are exclusive. View pointers are stable
+/// guarded by a shared_mutex — concurrent lookups are shared; creation and
+/// Clear are exclusive. View pointers are stable
 /// for the registry's lifetime (unique_ptr-owned), so operators may cache
 /// a MaterializedView* for a whole batch and go through that view's own
 /// probe/materialize locking. views() requires external quiescence.
@@ -344,28 +349,22 @@ class ViewStore {
   /// missing.
   MaterializedView* GetOrCreate(const std::string& name,
                                 const Schema& value_schema);
-  /// Returns the view or nullptr. The non-const overload refreshes the LRU
-  /// tick and therefore locks exclusively.
+  /// Returns the view or nullptr.
   MaterializedView* Find(const std::string& name);
   const MaterializedView* Find(const std::string& name) const;
 
   /// Total footprint across all views (the §5.2 storage number).
   double TotalSizeBytes() const;
 
-  /// Evicts least-recently-used views (whole views — coarse granularity)
-  /// until the total footprint is at most `max_bytes`. Returns the number
-  /// of views dropped. Safe at any time between queries: a query whose
-  /// view was evicted simply recomputes and re-materializes through the
-  /// conditional apply.
-  int EvictToBudget(double max_bytes);
+  /// Heap bytes held by all views (see MaterializedView::HeapBytes).
+  double HeapBytes() const;
 
   void Clear() {
     std::unique_lock<std::shared_mutex> lock(mu_);
     views_.clear();
-    access_.clear();
   }
 
-  /// Requires quiescence: no concurrent GetOrCreate/Evict in flight.
+  /// Requires quiescence: no concurrent GetOrCreate/Clear in flight.
   const std::map<std::string, std::unique_ptr<MaterializedView>>& views()
       const {
     return views_;
@@ -386,20 +385,12 @@ class ViewStore {
     capture_appends_ = enabled;
     for (auto& [name, view] : views_) view->set_capture_appends(enabled);
   }
-  bool capture_appends() const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return capture_appends_;
-  }
 
   /// Segment width (frames) applied to views created after the call.
   /// The engine sets it once at construction, before any view exists.
   void set_segment_frames(int64_t frames) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     segment_frames_ = frames > 0 ? frames : 1;
-  }
-  int64_t segment_frames() const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return segment_frames_;
   }
 
   /// Seal-time storage configuration applied to every existing view and
@@ -408,10 +399,6 @@ class ViewStore {
     std::unique_lock<std::shared_mutex> lock(mu_);
     build_options_ = options;
     for (auto& [name, view] : views_) view->set_build_options(options);
-  }
-  SegmentBuildOptions build_options() const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return build_options_;
   }
 
   /// Cumulative seal accounting across every view (engine metrics).
@@ -425,14 +412,8 @@ class ViewStore {
   }
 
  private:
-  /// Caller must hold mu_ exclusively.
-  void Touch(const std::string& name) { access_[name] = ++access_clock_; }
-  double TotalSizeBytesLocked() const;
-
   mutable std::shared_mutex mu_;
   std::map<std::string, std::unique_ptr<MaterializedView>> views_;
-  std::map<std::string, uint64_t> access_;  // name -> last access tick
-  uint64_t access_clock_ = 0;
   int64_t segment_frames_ = 512;
   SegmentBuildOptions build_options_;
   mutable SealTotals seal_totals_;

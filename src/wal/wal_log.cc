@@ -126,14 +126,14 @@ WalRecord ViewAdmissionRecord(const std::string& view, const Schema& schema) {
 
 WalRecord SegmentAppendRecord(
     const std::string& view, int64_t query_id,
-    const std::vector<std::pair<storage::ViewKey, const std::vector<Row>*>>&
+    const std::vector<std::pair<storage::ViewKey, std::vector<Row>>>&
         entries) {
   std::ostringstream os;
   os << "view " << WalEscape(view) << " " << query_id << "\n";
   for (const auto& [key, rows] : entries) {
-    os << "key " << key.frame << " " << key.obj << " " << rows->size()
+    os << "key " << key.frame << " " << key.obj << " " << rows.size()
        << "\n";
-    for (const Row& row : *rows) {
+    for (const Row& row : rows) {
       os << "row";
       for (const Value& v : row) os << " " << storage::EncodeValue(v);
       os << "\n";

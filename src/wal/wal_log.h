@@ -77,11 +77,11 @@ WalRecord CheckpointRecord(
 
 WalRecord ViewAdmissionRecord(const std::string& view, const Schema& schema);
 
-/// One (view, segment) group of freshly materialized entries. `entries`
-/// point at the view's row store (quiescent — driver thread only).
+/// One (view, segment) group of freshly materialized entries, each key
+/// with the rows the view store holds for it.
 WalRecord SegmentAppendRecord(
     const std::string& view, int64_t query_id,
-    const std::vector<std::pair<storage::ViewKey, const std::vector<Row>*>>&
+    const std::vector<std::pair<storage::ViewKey, std::vector<Row>>>&
         entries);
 
 WalRecord CoverageUnionRecord(const std::string& key,

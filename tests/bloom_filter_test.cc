@@ -121,6 +121,8 @@ TEST(BloomFilterTest, ProbeOracleDifferential) {
       view.Put(key, {{Value(static_cast<int64_t>(i))}});
     }
   }
+  // Filters are built when a segment seals; probes never seal.
+  view.SealAllSegments();
   std::vector<ViewKey> probes;
   for (int64_t f = 0; f < 2200; ++f) {
     for (int64_t o = -1; o < 3; ++o) probes.push_back({f, o});

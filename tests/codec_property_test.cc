@@ -266,9 +266,9 @@ struct ViewPair {
   }
 };
 
-void ExpectProbesAgree(const ViewPair& pair,
-                       const std::vector<ViewKey>& probes,
-                       const ZoneCheckFn& zone = nullptr) {
+void ExpectProbesAgreeOnce(const ViewPair& pair,
+                           const std::vector<ViewKey>& probes,
+                           const ZoneCheckFn& zone) {
   ProbeResult rp, rc;
   pair.plain.ProbeBatch(probes, zone, &rp);
   pair.packed.ProbeBatch(probes, zone, &rc);
@@ -292,12 +292,21 @@ void ExpectProbesAgree(const ViewPair& pair,
       }
     }
   }
-  // TryGet goes through the row store on both sides; spot-check agreement
-  // with the columnar result anyway (presence only — rows are shared).
   for (const ViewKey& key : probes) {
-    EXPECT_EQ(pair.plain.TryGet(key) != nullptr,
-              pair.packed.TryGet(key) != nullptr);
+    EXPECT_EQ(pair.plain.TryGet(key).has_value(),
+              pair.packed.TryGet(key).has_value());
   }
+}
+
+// Probes the open builders first (no codec involved yet), then seals both
+// sides — plain lanes vs codec lanes — and probes again.
+void ExpectProbesAgree(const ViewPair& pair,
+                       const std::vector<ViewKey>& probes,
+                       const ZoneCheckFn& zone = nullptr) {
+  ExpectProbesAgreeOnce(pair, probes, zone);
+  pair.plain.SealAllSegments();
+  pair.packed.SealAllSegments();
+  ExpectProbesAgreeOnce(pair, probes, zone);
 }
 
 std::vector<ViewKey> ProbeMix(int64_t frame_end, Lcg* rng) {
@@ -402,8 +411,9 @@ TEST(CodecViewDifferentialTest, DictOverflowFallsBackToValueStorage) {
 }
 
 TEST(CodecViewDifferentialTest, ZoneSkipDecisionsMatch) {
-  // Zone maps are computed before compression, so a residual-predicate
-  // zone check must skip exactly the same segments on both sides.
+  // Zone maps are maintained as rows are appended, before any codec, so a
+  // residual-predicate zone check must skip exactly the same segments on
+  // both sides.
   Schema schema({{"score", DataType::kDouble}});
   ViewPair pair(schema, 32);
   for (int64_t f = 0; f < 256; ++f) {
@@ -411,8 +421,8 @@ TEST(CodecViewDifferentialTest, ZoneSkipDecisionsMatch) {
     double score = static_cast<double>(f / 32) + 0.25;
     pair.Put({f, -1}, {{Value(score)}});
   }
-  ZoneCheckFn require_high = [](const ColumnarSegment& seg) {
-    return seg.zones[0].valid && seg.zones[0].num_max >= 4.0;
+  ZoneCheckFn require_high = [](const SegmentZone& seg) {
+    return seg.cols[0].valid && seg.cols[0].num_max >= 4.0;
   };
   std::vector<ViewKey> probes;
   for (int64_t f = 0; f < 256; ++f) probes.push_back({f, -1});
@@ -427,6 +437,14 @@ TEST(CodecViewDifferentialTest, ZoneSkipDecisionsMatch) {
   }
   EXPECT_GT(skipped, 0);                           // the check does bite
   EXPECT_EQ(rp.segments_skipped, rc.segments_skipped);
+  // Sealing changes the representation, never a skip decision.
+  pair.packed.SealAllSegments();
+  ProbeResult rs;
+  pair.packed.ProbeBatch(probes, require_high, &rs);
+  for (size_t i = 0; i < rp.outcomes.size(); ++i) {
+    ASSERT_EQ(rp.outcomes[i].status, rs.outcomes[i].status) << i;
+  }
+  EXPECT_EQ(rp.segments_skipped, rs.segments_skipped);
 }
 
 TEST(CodecViewDifferentialTest, CompressedFootprintNeverLarger) {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,14 +74,17 @@ TEST_F(PersistenceTest, ViewStoreRoundTrips) {
   ASSERT_NE(lv, nullptr);
   EXPECT_EQ(lv->num_keys(), 2);
   EXPECT_EQ(lv->num_rows(), 2);
-  EXPECT_TRUE(lv->Has({1, -1}));
-  EXPECT_TRUE(lv->Get({1, -1}).empty());
-  ASSERT_EQ(lv->Get({0, -1}).size(), 2u);
-  EXPECT_EQ(lv->Get({0, -1})[0][1].AsString(), "car");
-  EXPECT_DOUBLE_EQ(lv->Get({0, -1})[1][2].AsDouble(), 0.5);
+  ASSERT_TRUE(lv->TryGet({1, -1}).has_value());
+  EXPECT_TRUE(lv->TryGet({1, -1})->empty());
+  const std::vector<Row> rows = lv->TryGet({0, -1}).value_or(
+      std::vector<Row>{});
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][1].AsString(), "car");
+  EXPECT_DOUBLE_EQ(rows[1][2].AsDouble(), 0.5);
   MaterializedView* lc = loaded.Find("CarType@v");
   ASSERT_NE(lc, nullptr);
-  EXPECT_EQ(lc->Get({0, 1})[0][0].AsString(), "Toyota");
+  ASSERT_TRUE(lc->TryGet({0, 1}).has_value());
+  EXPECT_EQ((*lc->TryGet({0, 1}))[0][0].AsString(), "Toyota");
   EXPECT_TRUE(lc->value_schema() ==
               Schema({{"CarType", DataType::kString}}));
 }
@@ -96,9 +100,62 @@ TEST_F(PersistenceTest, LoadMergesWithoutOverwriting) {
   target.GetOrCreate("CarType@v", schema)->Put({0, 1}, {{Value("BMW")}});
   ASSERT_TRUE(LoadViewStore(dir_.string(), &target).ok());
   // Existing keys win (append-only semantics); new keys merge in.
-  EXPECT_EQ(target.Find("CarType@v")->Get({0, 0})[0][0].AsString(),
+  EXPECT_EQ((*target.Find("CarType@v")->TryGet({0, 0}))[0][0].AsString(),
             "Ford");
   EXPECT_EQ(target.Find("CarType@v")->num_keys(), 2);
+}
+
+// A codec save reloads by adopting each .evaseg segment as the sealed
+// part of its segment: nothing is re-sealed, the reloaded segments hold
+// exactly the encoded bytes the saved ones did (charged once sealed, like
+// any segment), and every key reads back the same. Keys a store already
+// holds win over adopted ones.
+TEST_F(PersistenceTest, SegmentFilesAreAdoptedSealed) {
+  const SegmentBuildOptions options{/*compress=*/true,
+                                    /*bloom_bits_per_key=*/10};
+  Schema det({{"obj", DataType::kInt64},
+              {"label", DataType::kString},
+              {"score", DataType::kDouble}});
+  ViewStore store;
+  store.set_build_options(options);
+  MaterializedView* view = store.GetOrCreate("Det@v", det);
+  auto rows_of = [](int64_t f) {
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < f % 4; ++i) {
+      rows.push_back({Value(i), Value(i % 2 == 0 ? "car" : "bus"),
+                      Value(0.1 * static_cast<double>(f + i))});
+    }
+    return rows;
+  };
+  for (int64_t f = 0; f < 1500; ++f) view->Put({f, -1}, rows_of(f));
+  const std::string body = SerializeViewSegments("Det@v", *view);
+
+  ViewStore loaded;
+  loaded.set_build_options(options);
+  ASSERT_TRUE(ParseSegmentBody(body, "Det.evaseg", &loaded).ok());
+  const MaterializedView* lv = loaded.Find("Det@v");
+  ASSERT_NE(lv, nullptr);
+  EXPECT_EQ(lv->num_keys(), view->num_keys());
+  EXPECT_EQ(lv->num_rows(), view->num_rows());
+  loaded.SealAllSegments();
+  EXPECT_EQ(loaded.seal_totals().segments_sealed.load(), 0);
+  EXPECT_EQ(lv->SizeBytes(), view->SizeBytes());
+  EXPECT_EQ(lv->CompressionStats().encoded_bytes,
+            view->CompressionStats().encoded_bytes);
+  EXPECT_EQ(lv->CompressionStats().raw_bytes,
+            view->CompressionStats().raw_bytes);
+  for (int64_t f = 0; f < 1500; ++f) {
+    ASSERT_EQ(lv->TryGet({f, -1}), std::optional(rows_of(f))) << f;
+  }
+
+  ViewStore target;
+  target.set_build_options(options);
+  target.GetOrCreate("Det@v", det)->Put({5, -1}, {});
+  ASSERT_TRUE(ParseSegmentBody(body, "Det.evaseg", &target).ok());
+  const MaterializedView* tv = target.Find("Det@v");
+  EXPECT_EQ(tv->num_keys(), view->num_keys());
+  EXPECT_TRUE(tv->TryGet({5, -1})->empty());
+  EXPECT_EQ(tv->TryGet({6, -1}), std::optional(rows_of(6)));
 }
 
 TEST_F(PersistenceTest, MissingDirectoryIsNotFound) {

@@ -1,3 +1,8 @@
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "storage/statistics.h"
@@ -16,26 +21,29 @@ Schema DetSchema() {
 
 TEST(MaterializedViewTest, PresenceDistinctFromEmptiness) {
   MaterializedView view("det@v", DetSchema());
-  EXPECT_FALSE(view.Has({5, -1}));
-  view.Put({5, -1}, {});  // processed frame, zero detections
-  EXPECT_TRUE(view.Has({5, -1}));
-  EXPECT_TRUE(view.Get({5, -1}).empty());
+  EXPECT_FALSE(view.TryGet({5, -1}).has_value());
+  EXPECT_TRUE(view.Put({5, -1}, {}));  // processed frame, zero detections
+  ASSERT_TRUE(view.TryGet({5, -1}).has_value());
+  EXPECT_TRUE(view.TryGet({5, -1})->empty());
   EXPECT_EQ(view.num_keys(), 1);
   EXPECT_EQ(view.num_rows(), 0);
 }
 
 TEST(MaterializedViewTest, PutIsIdempotentAppendOnly) {
   MaterializedView view("det@v", DetSchema());
-  view.Put({1, -1}, {{Value(int64_t{0}), Value("car"), Value(0.3),
-                      Value(0.9)}});
+  EXPECT_TRUE(view.Put({1, -1}, {{Value(int64_t{0}), Value("car"),
+                                  Value(0.3), Value(0.9)}}));
   EXPECT_EQ(view.num_rows(), 1);
-  // Re-putting an existing key is a no-op (STORE semantics).
-  view.Put({1, -1}, {{Value(int64_t{0}), Value("bus"), Value(0.1),
-                      Value(0.2)},
-                     {Value(int64_t{1}), Value("car"), Value(0.2),
-                      Value(0.8)}});
+  // Re-putting an existing key is a no-op (STORE semantics), reported as
+  // such — before and after the segment is sealed.
+  const std::vector<Row> again = {
+      {Value(int64_t{0}), Value("bus"), Value(0.1), Value(0.2)},
+      {Value(int64_t{1}), Value("car"), Value(0.2), Value(0.8)}};
+  EXPECT_FALSE(view.Put({1, -1}, again));
+  view.SealAllSegments();
+  EXPECT_FALSE(view.Put({1, -1}, again));
   EXPECT_EQ(view.num_rows(), 1);
-  EXPECT_EQ(view.Get({1, -1})[0][1].AsString(), "car");
+  EXPECT_EQ((*view.TryGet({1, -1}))[0][1].AsString(), "car");
 }
 
 TEST(MaterializedViewTest, ObjectLevelKeys) {
@@ -43,10 +51,101 @@ TEST(MaterializedViewTest, ObjectLevelKeys) {
                                               DataType::kString}}));
   view.Put({3, 0}, {{Value("Nissan")}});
   view.Put({3, 1}, {{Value("Toyota")}});
-  EXPECT_TRUE(view.Has({3, 0}));
-  EXPECT_FALSE(view.Has({3, 2}));
-  EXPECT_FALSE(view.Has({3, -1}));
-  EXPECT_EQ(view.Get({3, 1})[0][0].AsString(), "Toyota");
+  EXPECT_TRUE(view.TryGet({3, 0}).has_value());
+  EXPECT_FALSE(view.TryGet({3, 2}).has_value());
+  EXPECT_FALSE(view.TryGet({3, -1}).has_value());
+  EXPECT_EQ((*view.TryGet({3, 1}))[0][0].AsString(), "Toyota");
+}
+
+// Put copies the value cells straight out of operator rows: row i gives
+// rows[i][first_col, first_col + width), and a short row pads with NULL.
+TEST(MaterializedViewTest, PutCopiesCellsFromFirstColumn) {
+  MaterializedView view("det@v", DetSchema());
+  const Row wide = {Value(int64_t{7}), Value("frame"), Value(int64_t{2}),
+                    Value("car"), Value(0.5), Value(0.75)};
+  const Row short_row = {Value(int64_t{7}), Value("frame"),
+                         Value(int64_t{3}), Value("bus")};
+  const Row* rows[] = {&wide, &short_row};
+  EXPECT_TRUE(view.Put({7, -1}, rows, 2, /*tick=*/1, /*query_id=*/0));
+  for (bool sealed : {false, true}) {
+    if (sealed) view.SealAllSegments();
+    std::optional<std::vector<Row>> got = view.TryGet({7, -1});
+    ASSERT_TRUE(got.has_value());
+    ASSERT_EQ(got->size(), 2u);
+    EXPECT_EQ((*got)[0][0].AsInt64(), 2);
+    EXPECT_EQ((*got)[0][1].AsString(), "car");
+    EXPECT_DOUBLE_EQ((*got)[0][3].AsDouble(), 0.75);
+    EXPECT_EQ((*got)[1][1].AsString(), "bus");
+    EXPECT_TRUE((*got)[1][2].is_null());
+    EXPECT_TRUE((*got)[1][3].is_null());
+  }
+}
+
+// Probes read the sealed part and the open builder alike, and a seal
+// never changes what they return.
+TEST(MaterializedViewTest, ProbesSpanSealedAndOpenRows) {
+  MaterializedView view("det@v", DetSchema());
+  view.set_segment_frames(8);
+  view.set_build_options({/*compress=*/true, /*bloom_bits_per_key=*/10});
+  auto rows_of = [](int64_t f) {
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < f % 3; ++i) {
+      rows.push_back({Value(i), Value(f % 2 == 0 ? "car" : "bus"),
+                      Value(0.5 * static_cast<double>(f)), Value(0.9)});
+    }
+    return rows;
+  };
+  for (int64_t f = 0; f < 20; f += 2) view.Put({f, -1}, rows_of(f));
+  view.SealAllSegments();
+  for (int64_t f = 1; f < 20; f += 2) view.Put({f, -1}, rows_of(f));
+  std::vector<ViewKey> keys;
+  for (int64_t f = 0; f < 22; ++f) keys.push_back({f, -1});
+  for (int round = 0; round < 2; ++round) {
+    ProbeResult res;
+    view.ProbeBatch(keys, nullptr, &res);
+    ASSERT_EQ(res.outcomes.size(), keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const int64_t f = keys[i].frame;
+      const ProbeOutcome& oc = res.outcomes[i];
+      if (f >= 20) {
+        EXPECT_EQ(oc.status, ProbeStatus::kMiss) << f;
+        continue;
+      }
+      ASSERT_EQ(oc.status, ProbeStatus::kHit) << f;
+      const std::vector<Row> want = rows_of(f);
+      ASSERT_EQ(oc.rows_count, static_cast<int32_t>(want.size())) << f;
+      for (int32_t r = 0; r < oc.rows_count; ++r) {
+        EXPECT_EQ(res.segment(oc).RowAt(oc.rows_begin + r), want[r]) << f;
+      }
+    }
+    view.SealAllSegments();  // second round: everything sealed
+  }
+  EXPECT_EQ(view.CompressionStats().sealed_segments, 3);
+}
+
+// The zone the probe path checks covers sealed and open rows together.
+TEST(MaterializedViewTest, ZoneCoversSealedAndOpenRows) {
+  MaterializedView view("det@v", DetSchema());
+  view.Put({1, -1}, {{Value(int64_t{0}), Value("car"), Value(1.0),
+                      Value(0.5)}});
+  view.SealAllSegments();
+  view.Put({2, -1}, {{Value(int64_t{4}), Value("bus"), Value(9.0),
+                      Value(0.25)}});
+  SegmentZone seen;
+  ProbeResult res;
+  view.ProbeBatch(std::vector<ViewKey>{ViewKey{1, -1}}, [&seen](const SegmentZone& z) {
+    seen = z;
+    return true;
+  }, &res);
+  EXPECT_EQ(seen.keys, 2);
+  EXPECT_EQ(seen.frame_min, 1);
+  EXPECT_EQ(seen.frame_max, 2);
+  ASSERT_EQ(seen.cols.size(), 4u);
+  EXPECT_TRUE(seen.cols[0].valid);
+  EXPECT_DOUBLE_EQ(seen.cols[0].num_min, 0);
+  EXPECT_DOUBLE_EQ(seen.cols[0].num_max, 4);
+  EXPECT_EQ(seen.cols[1].strings, (std::set<std::string>{"bus", "car"}));
+  EXPECT_DOUBLE_EQ(seen.cols[2].num_max, 9.0);
 }
 
 TEST(MaterializedViewTest, SizeGrowsWithContent) {
@@ -83,36 +182,6 @@ TEST(ViewStoreTest, TotalSizeSumsViews) {
   EXPECT_DOUBLE_EQ(store.TotalSizeBytes(),
                    store.Find("a")->SizeBytes() +
                        store.Find("b")->SizeBytes());
-}
-
-TEST(ViewStoreTest, EvictionDropsLeastRecentlyUsed) {
-  ViewStore store;
-  Schema schema({{"x", DataType::kString}});
-  for (int v = 0; v < 4; ++v) {
-    MaterializedView* view =
-        store.GetOrCreate("view" + std::to_string(v), schema);
-    for (int64_t k = 0; k < 50; ++k) view->Put({k, -1}, {{Value("y")}});
-  }
-  // Touch view0 and view2 so view1 and view3 are the LRU victims.
-  store.Find("view0");
-  store.Find("view2");
-  double per_view = store.TotalSizeBytes() / 4;
-  int dropped = store.EvictToBudget(per_view * 2.5);
-  EXPECT_EQ(dropped, 2);
-  EXPECT_NE(store.Find("view0"), nullptr);
-  EXPECT_EQ(store.Find("view1"), nullptr);
-  EXPECT_NE(store.Find("view2"), nullptr);
-  EXPECT_EQ(store.Find("view3"), nullptr);
-}
-
-TEST(ViewStoreTest, EvictionToZeroDropsEverything) {
-  ViewStore store;
-  Schema schema({{"x", DataType::kString}});
-  store.GetOrCreate("a", schema)->Put({0, -1}, {{Value("y")}});
-  store.GetOrCreate("b", schema)->Put({0, -1}, {{Value("y")}});
-  EXPECT_EQ(store.EvictToBudget(0), 2);
-  EXPECT_DOUBLE_EQ(store.TotalSizeBytes(), 0);
-  EXPECT_EQ(store.EvictToBudget(0), 0);  // idempotent on empty store
 }
 
 // --- Histogram --------------------------------------------------------------

@@ -3,7 +3,7 @@
 //  1. FilterProgram (src/exec/vector_filter.h) must agree row-for-row with
 //     the scalar Expr interpreter over randomized schemas, NULLs, and
 //     predicate trees whenever it compiles and executes.
-//  2. MaterializedView::ProbeBatch must agree with TryGet/Get across
+//  2. MaterializedView::ProbeBatch must agree with TryGet across
 //     segment boundaries, interleaved Puts (columnar staleness), and
 //     eviction.
 //  3. Zone-map skipping must be sound: every row of a segment reported
@@ -14,6 +14,8 @@
 //     across worker-thread counts with them on.
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -211,7 +213,7 @@ TEST(VectorizedFilterProperty, MatchesScalarInterpreter) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. ProbeBatch vs TryGet/Get with interleaved Puts and eviction
+// 2. ProbeBatch vs TryGet with interleaved Puts, seals and eviction
 // ---------------------------------------------------------------------------
 
 Schema DetectorValueSchema() {
@@ -236,15 +238,23 @@ TEST(VectorizedFilterProperty, ProbeBatchMatchesPointLookups) {
   Lcg rng(0x5eed0002);
   MaterializedView view("v", DetectorValueSchema());
   view.set_segment_frames(8);  // small segments: many boundaries
+  view.set_build_options({/*compress=*/true, /*bloom_bits_per_key=*/10});
+  // What was put, first Put winning — the oracle both probes answer to.
+  std::map<ViewKey, std::vector<Row>> truth;
   int64_t max_frame = 96;
   for (int round = 0; round < 20; ++round) {
-    // Interleave Puts (staling some columnar segments) with batch probes.
+    // Interleave Puts (into open builders) with seals and batch probes,
+    // so probes see sealed parts, open parts, and segments with both.
     int puts = 1 + static_cast<int>(rng.Below(12));
     for (int p = 0; p < puts; ++p) {
       int64_t f = rng.Below(max_frame);
-      view.Put(ViewKey{f, -1}, RandomDetections(rng),
-               static_cast<uint64_t>(round * 100 + p), round);
+      std::vector<Row> rows = RandomDetections(rng);
+      const bool inserted =
+          view.Put(ViewKey{f, -1}, rows,
+                   static_cast<uint64_t>(round * 100 + p), round);
+      EXPECT_EQ(inserted, truth.emplace(ViewKey{f, -1}, rows).second);
     }
+    if (round % 3 == 1) view.SealAllSegments();
     std::vector<ViewKey> keys;
     int64_t start = rng.Below(max_frame);
     for (int64_t f = start; f < start + 24; ++f) {
@@ -254,18 +264,22 @@ TEST(VectorizedFilterProperty, ProbeBatchMatchesPointLookups) {
     view.ProbeBatch(keys, nullptr, &res);
     ASSERT_EQ(res.outcomes.size(), keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
-      const std::vector<Row>* expected = view.TryGet(keys[i]);
+      auto it = truth.find(keys[i]);
+      const std::optional<std::vector<Row>> point = view.TryGet(keys[i]);
       const storage::ProbeOutcome& oc = res.outcomes[i];
-      if (expected == nullptr) {
+      ASSERT_EQ(point.has_value(), it != truth.end());
+      if (it == truth.end()) {
         EXPECT_EQ(oc.status, ProbeStatus::kMiss) << "frame " << keys[i].frame;
         continue;
       }
+      const std::vector<Row>& expected = it->second;
+      ASSERT_EQ(*point, expected);
       ASSERT_EQ(oc.status, ProbeStatus::kHit) << "frame " << keys[i].frame;
-      ASSERT_EQ(static_cast<size_t>(oc.rows_count), expected->size());
+      ASSERT_EQ(static_cast<size_t>(oc.rows_count), expected.size());
       if (oc.rows_count > 0) ASSERT_GE(oc.seg_index, 0);
       for (int32_t r = 0; r < oc.rows_count; ++r) {
         Row got = res.segment(oc).RowAt(oc.rows_begin + r);
-        const Row& want = (*expected)[static_cast<size_t>(r)];
+        const Row& want = expected[static_cast<size_t>(r)];
         ASSERT_EQ(got.size(), want.size());
         for (size_t c = 0; c < want.size(); ++c) {
           EXPECT_EQ(got[c].ToString(), want[c].ToString());
@@ -275,11 +289,12 @@ TEST(VectorizedFilterProperty, ProbeBatchMatchesPointLookups) {
       }
     }
     if (round == 10) {
-      // Evict a middle segment; later probes must miss it and rebuilt
-      // segments must stay consistent.
+      // Evict a middle segment; later probes must miss it and segments
+      // re-filled afterwards must stay consistent.
       view.EvictSegment(3);
       for (int64_t f = 24; f < 32; ++f) {
-        EXPECT_EQ(view.TryGet(ViewKey{f, -1}), nullptr);
+        EXPECT_FALSE(view.TryGet(ViewKey{f, -1}).has_value());
+        truth.erase(ViewKey{f, -1});
       }
     }
   }
@@ -298,7 +313,13 @@ TEST(VectorizedFilterProperty, ZoneSkippingIsSound) {
   check_schema.AddField({"id", DataType::kInt64});
   MaterializedView view("v", value_schema);
   view.set_segment_frames(8);
-  for (int64_t f = 0; f < 96; ++f) {
+  // Even frames sealed, odd frames open: every segment's zone spans both.
+  for (int64_t f = 0; f < 96; f += 2) {
+    view.Put(ViewKey{f, -1}, RandomDetections(rng),
+             static_cast<uint64_t>(f), 0);
+  }
+  view.SealAllSegments();
+  for (int64_t f = 1; f < 96; f += 2) {
     view.Put(ViewKey{f, -1}, RandomDetections(rng),
              static_cast<uint64_t>(f), 0);
   }
@@ -338,7 +359,7 @@ TEST(VectorizedFilterProperty, ZoneSkippingIsSound) {
     ProbeResult res;
     view.ProbeBatch(
         keys,
-        [&](const storage::ColumnarSegment& seg) {
+        [&](const storage::SegmentZone& seg) {
           return exec::ZoneCanMatch(*pred, seg, value_schema);
         },
         &res);
@@ -346,8 +367,8 @@ TEST(VectorizedFilterProperty, ZoneSkippingIsSound) {
     for (size_t i = 0; i < keys.size(); ++i) {
       if (res.outcomes[i].status != ProbeStatus::kHitSkipped) continue;
       // Soundness: every stored row of a skipped hit fails the residual.
-      const std::vector<Row>* rows = view.TryGet(keys[i]);
-      ASSERT_NE(rows, nullptr);
+      const std::optional<std::vector<Row>> rows = view.TryGet(keys[i]);
+      ASSERT_TRUE(rows.has_value());
       for (const Row& vr : *rows) {
         Row check = vr;
         check.push_back(Value(keys[i].frame));  // "id"
@@ -367,7 +388,7 @@ TEST(VectorizedFilterProperty, ZoneSkippingIsSound) {
   ProbeResult res;
   view.ProbeBatch(
       keys,
-      [&](const storage::ColumnarSegment& seg) {
+      [&](const storage::SegmentZone& seg) {
         return exec::ZoneCanMatch(*never, seg, value_schema);
       },
       &res);
@@ -379,7 +400,7 @@ TEST(VectorizedFilterProperty, ZoneSkippingIsSound) {
                                  Expr::Literal(Value(-100.0)));
   view.ProbeBatch(
       keys,
-      [&](const storage::ColumnarSegment& seg) {
+      [&](const storage::SegmentZone& seg) {
         return exec::ZoneCanMatch(*always, seg, value_schema);
       },
       &res);

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,9 +68,12 @@ TEST(ViewStoreConcurrencyTest, OverlappingInsertsMatchSerialState) {
        frame < static_cast<int64_t>(kThreads - 1) * kStride + kSpan;
        ++frame) {
     ViewKey key{frame, -1};
-    ASSERT_EQ(parallel.Has(key), serial.Has(key)) << "frame " << frame;
-    const std::vector<Row>& p = parallel.Get(key);
-    const std::vector<Row>& s = serial.Get(key);
+    const std::optional<std::vector<Row>> pk = parallel.TryGet(key);
+    const std::optional<std::vector<Row>> sk = serial.TryGet(key);
+    ASSERT_EQ(pk.has_value(), sk.has_value()) << "frame " << frame;
+    if (!pk.has_value()) continue;
+    const std::vector<Row>& p = *pk;
+    const std::vector<Row>& s = *sk;
     ASSERT_EQ(p.size(), s.size()) << "frame " << frame;
     for (size_t r = 0; r < p.size(); ++r) {
       ASSERT_EQ(p[r].size(), s[r].size());
@@ -96,13 +100,11 @@ TEST(ViewStoreConcurrencyTest, ProbesDuringInsertsSeeConsistentEntries) {
     readers.emplace_back([&] {
       while (!writer_done.load()) {
         for (int64_t frame = 0; frame < kKeys; frame += 37) {
-          ViewKey key{frame, -1};
-          if (view.Has(key)) {
-            // Once present, an entry is immutable: it must hold exactly
-            // the rows the writer put.
-            if (view.Get(key).size() != RowsForKey(frame).size()) {
-              inconsistencies.fetch_add(1);
-            }
+          // Once present, an entry is immutable: it must hold exactly
+          // the rows the writer put.
+          std::optional<std::vector<Row>> rows = view.TryGet({frame, -1});
+          if (rows.has_value() && *rows != RowsForKey(frame)) {
+            inconsistencies.fetch_add(1);
           }
         }
       }
