@@ -24,10 +24,10 @@
 
 namespace {
 
-using eva::Batch;
 using eva::Row;
 using eva::Schema;
 using eva::Value;
+using eva::exec::Chunk;
 using eva::exec::FilterProgram;
 using eva::expr::CompareOp;
 using eva::expr::Expr;
@@ -165,38 +165,39 @@ ExprPtr FilterBenchPredicate() {
                     Expr::Literal(Value(0.2))));
 }
 
-Batch FilterBenchBatch() {
-  Batch batch(DetSchema());
+Chunk FilterBenchChunk() {
+  Chunk chunk(DetSchema());
   for (int64_t i = 0; i < 1024; ++i) {
-    batch.AddRow({Value(i % 8), Value(i % 3 == 0 ? "car" : "bus"),
-                  Value(0.05 + 0.001 * static_cast<double>(i % 400)),
-                  Value(0.9)});
+    chunk.AppendRow({Value(i % 8), Value(i % 3 == 0 ? "car" : "bus"),
+                     Value(0.05 + 0.001 * static_cast<double>(i % 400)),
+                     Value(0.9)});
   }
-  return batch;
+  return chunk;
 }
 
-// Per-row recursive interpreter over one 1024-row batch.
+// Per-row recursive interpreter over one 1024-row chunk, each row read
+// out of the columns as the filter's scalar fallback does.
 void BM_FilterScalar(benchmark::State& state) {
   Schema schema = DetSchema();
-  Batch batch = FilterBenchBatch();
+  Chunk chunk = FilterBenchChunk();
   ExprPtr pred = FilterBenchPredicate();
   for (auto _ : state) {
     int64_t kept = 0;
-    for (const Row& row : batch.rows()) {
-      auto r = eva::expr::EvaluateBool(*pred, schema, row);
-      if (r.ok() && r.value()) ++kept;
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      auto v = eva::expr::EvaluateBool(*pred, schema, chunk.RowAt(r));
+      if (v.ok() && v.value()) ++kept;
     }
     benchmark::DoNotOptimize(kept);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch.num_rows()));
+                          static_cast<int64_t>(chunk.num_rows()));
 }
 BENCHMARK(BM_FilterScalar);
 
-// Compiled register program over the same batch.
+// Compiled register program over the same chunk's typed lanes.
 void BM_FilterVectorized(benchmark::State& state) {
   Schema schema = DetSchema();
-  Batch batch = FilterBenchBatch();
+  Chunk chunk = FilterBenchChunk();
   ExprPtr pred = FilterBenchPredicate();
   auto program = FilterProgram::Compile(*pred, schema);
   if (!program.has_value()) {
@@ -205,11 +206,11 @@ void BM_FilterVectorized(benchmark::State& state) {
   }
   std::vector<uint8_t> keep;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(program->Execute(batch, &keep).ok());
+    benchmark::DoNotOptimize(program->Execute(chunk, &keep).ok());
     benchmark::DoNotOptimize(keep.data());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch.num_rows()));
+                          static_cast<int64_t>(chunk.num_rows()));
 }
 BENCHMARK(BM_FilterVectorized);
 
@@ -262,16 +263,30 @@ int RunQuick() {
   FillProbeView(&view);
   view.SealAllSegments();
 
-  // Write path: Put of one detection row per key into a fresh view, cells
-  // copied from operator rows; each 512-frame segment seals as it fills,
-  // as frame-keyed views do in the engine (ns per key).
-  const Row put_row = {Value(static_cast<int64_t>(0)), Value("car"),
-                       Value(0.3), Value(0.9)};
-  const Row* put_rows[] = {&put_row};
+  // Write path: batch Puts of one detection row per key into a fresh
+  // view, cells copied from 1024-row chunk columns as STORE does; each
+  // 512-frame segment seals as it fills, as frame-keyed views do in the
+  // engine (ns per key).
+  constexpr uint32_t kPutChunk = 1024;
+  Chunk put_chunk(DetSchema());
+  for (uint32_t i = 0; i < kPutChunk; ++i) {
+    put_chunk.AppendRow({Value(static_cast<int64_t>(0)), Value("car"),
+                         Value(0.3), Value(0.9)});
+  }
+  std::vector<uint32_t> put_sel(kPutChunk);
+  for (uint32_t i = 0; i < kPutChunk; ++i) put_sel[i] = i;
+  std::vector<MaterializedView::KeyRows> put_keys(kPutChunk);
+  std::vector<uint8_t> inserted;
   auto view_put = [&] {
     MaterializedView v("bench_put", DetSchema());
-    for (int64_t f = 0; f < kProbeViewFrames; ++f) {
-      v.Put(ViewKey{f, -1}, put_rows, 0, 0, -1);
+    for (int64_t f0 = 0; f0 < kProbeViewFrames; f0 += kPutChunk) {
+      const uint32_t n = static_cast<uint32_t>(
+          std::min<int64_t>(kPutChunk, kProbeViewFrames - f0));
+      for (uint32_t i = 0; i < n; ++i) {
+        put_keys[i] = {ViewKey{f0 + i, -1}, i, i + 1};
+      }
+      v.Put(std::span<const MaterializedView::KeyRows>(put_keys.data(), n),
+            put_sel, put_chunk.cols(), 0, -1, &inserted);
     }
     benchmark::DoNotOptimize(v.num_rows());
   };
@@ -282,18 +297,18 @@ int RunQuick() {
   eva::storage::SegmentZone seal_zone(DetSchema().num_fields());
   eva::storage::SegmentBuilder half(DetSchema().num_fields());
   eva::storage::SegmentBuilder open(DetSchema().num_fields());
-  std::vector<Row> seal_rows;
+  Chunk seal_chunk(DetSchema());
   for (int64_t i = 0; i < 3; ++i) {
-    seal_rows.push_back({Value(i), Value(i == 1 ? "bus" : "car"),
-                         Value(0.01 * static_cast<double>(i + 1)),
-                         Value(0.5 + 0.1 * static_cast<double>(i))});
+    seal_chunk.AppendRow({Value(i), Value(i == 1 ? "bus" : "car"),
+                          Value(0.01 * static_cast<double>(i + 1)),
+                          Value(0.5 + 0.1 * static_cast<double>(i))});
   }
-  const Row* seal_ptrs[] = {&seal_rows[0], &seal_rows[1], &seal_rows[2]};
+  const uint32_t seal_sel[] = {0, 1, 2};
   for (int64_t k = 0; k < 1024; ++k) {
     const size_t n = 1 + static_cast<size_t>(k % 3);
     (k % 2 == 0 ? half : open)
-        .Append(ViewKey{k, -1}, std::span<const Row* const>(seal_ptrs, n), 0,
-                &seal_zone);
+        .Append(ViewKey{k, -1}, seal_chunk.cols(),
+                std::span<const uint32_t>(seal_sel, n), &seal_zone);
   }
   auto sealed_half = eva::storage::SealSegment(nullptr, half, seal_options);
   const int64_t seal_out_rows = sealed_half->num_rows() + open.num_rows();
@@ -349,19 +364,19 @@ int RunQuick() {
   auto probe_miss_nobloom = [&] { probe_rounds(nobloom_view, miss_keys); };
 
   Schema schema = DetSchema();
-  Batch batch = FilterBenchBatch();
+  Chunk chunk = FilterBenchChunk();
   ExprPtr pred = FilterBenchPredicate();
   auto program = FilterProgram::Compile(*pred, schema);
   if (!program.has_value()) {
     std::fprintf(stderr, "FATAL quick-mode predicate did not compile\n");
     return 1;
   }
-  const int64_t filter_rounds = kOps / static_cast<int64_t>(batch.num_rows());
+  const int64_t filter_rounds = kOps / static_cast<int64_t>(chunk.num_rows());
   auto filter_scalar = [&] {
-    for (int64_t r = 0; r < filter_rounds; ++r) {
+    for (int64_t round = 0; round < filter_rounds; ++round) {
       int64_t kept = 0;
-      for (const Row& row : batch.rows()) {
-        auto v = eva::expr::EvaluateBool(*pred, schema, row);
+      for (size_t r = 0; r < chunk.num_rows(); ++r) {
+        auto v = eva::expr::EvaluateBool(*pred, schema, chunk.RowAt(r));
         if (v.ok() && v.value()) ++kept;
       }
       benchmark::DoNotOptimize(kept);
@@ -370,13 +385,13 @@ int RunQuick() {
   std::vector<uint8_t> keep;
   auto filter_vectorized = [&] {
     for (int64_t r = 0; r < filter_rounds; ++r) {
-      benchmark::DoNotOptimize(program->Execute(batch, &keep).ok());
+      benchmark::DoNotOptimize(program->Execute(chunk, &keep).ok());
       benchmark::DoNotOptimize(keep.data());
     }
   };
 
   const int64_t filter_ops = filter_rounds *
-                             static_cast<int64_t>(batch.num_rows());
+                             static_cast<int64_t>(chunk.num_rows());
   std::string out = "{\"bench\":\"bench_micro_storage\",\"mode\":\"quick\","
                     "\"benchmarks\":[";
   out += eva::bench::WallStatsJson(

@@ -54,15 +54,72 @@ UdfObsCounters MakeUdfCounters(ExecContext* ctx, const std::string& udf) {
   return c;
 }
 
-void CountInvocation(ExecContext* ctx, const UdfObsCounters& counters) {
-  if (ctx->active_stats != nullptr) ++ctx->active_stats->udf_invocations;
-  if (counters.invocations != nullptr) counters.invocations->Increment();
+// Per-morsel UDF bookkeeping. The tally is added to the (morsel-local)
+// context once, when it goes out of scope — after a complete morsel and
+// after a failing row alike — so QueryMetrics, OperatorStats and registry
+// counters end up exactly where per-row increments would have put them.
+class UdfTally {
+ public:
+  UdfTally(ExecContext* ctx, const std::string& udf,
+           const UdfObsCounters& counters)
+      : ctx_(ctx), udf_(udf), counters_(counters) {}
+  UdfTally(const UdfTally&) = delete;
+  UdfTally& operator=(const UdfTally&) = delete;
+  ~UdfTally() {
+    if (fresh > 0) {
+      ctx_->metrics->invocations[udf_] += fresh;
+      if (ctx_->active_stats != nullptr) {
+        ctx_->active_stats->udf_invocations += fresh;
+      }
+      if (counters_.invocations != nullptr) {
+        counters_.invocations->Increment(static_cast<double>(fresh));
+      }
+    }
+    if (cached > 0) {
+      ctx_->metrics->invocations[udf_] += cached;
+      ctx_->metrics->reused[udf_] += cached;
+      if (ctx_->active_stats != nullptr) {
+        ctx_->active_stats->rows_reused += cached;
+      }
+      if (counters_.reused != nullptr) {
+        counters_.reused->Increment(static_cast<double>(cached));
+      }
+    }
+  }
+
+  int64_t fresh = 0;   // model evaluations
+  int64_t cached = 0;  // FunCache hits
+
+ private:
+  ExecContext* ctx_;
+  const std::string& udf_;
+  const UdfObsCounters& counters_;
+};
+
+// True when output row i came from input row i, for every one of n rows.
+bool IsIdentity(const std::vector<uint32_t>& src, size_t n) {
+  if (src.size() != n) return false;
+  for (size_t i = 0; i < n; ++i) {
+    if (src[i] != i) return false;
+  }
+  return true;
 }
 
-void CountReuse(ExecContext* ctx, const UdfObsCounters& counters,
-                int64_t rows = 1) {
-  if (ctx->active_stats != nullptr) ctx->active_stats->rows_reused += rows;
-  if (counters.reused != nullptr) counters.reused->Increment();
+// Output columns [0, width) of a 1:n operator: input column c at the
+// input row each output row came from (moved when the mapping is 1:1).
+std::vector<ColumnBuilder> GatherColumns(Chunk* in, size_t width,
+                                         const std::vector<uint32_t>& src) {
+  std::vector<ColumnBuilder> cols;
+  cols.reserve(width + 4);
+  const bool identity = IsIdentity(src, in->num_rows());
+  for (size_t c = 0; c < width; ++c) {
+    if (identity) {
+      cols.push_back(std::move(in->cols()[c]));
+    } else {
+      cols.push_back(ColumnBuilder::Gather(in->col(c), src));
+    }
+  }
+  return cols;
 }
 
 // ---------------------------------------------------------------------------
@@ -82,21 +139,21 @@ class VideoScanOp : public Operator {
     }
   }
 
-  Result<Batch> Next() override {
-    Batch out(output_schema_);
+  Result<Chunk> Next() override {
+    Chunk out(output_schema_);
     if (next_ >= hi_) return out;
     int64_t end = std::min(hi_, next_ + ctx_->batch_size);
-    for (int64_t f = next_; f < end; ++f) {
-      out.AddRow({Value(f)});
-    }
+    std::vector<ColumnBuilder> cols(1);
+    for (int64_t f = next_; f < end; ++f) cols[0].AppendInt64(f);
     ctx_->Charge(CostCategory::kReadVideo,
                  ctx_->costs.video_read_ms_per_frame *
                      static_cast<double>(end - next_));
     if (frames_scanned_ != nullptr) {
       frames_scanned_->Increment(static_cast<double>(end - next_));
     }
+    const size_t rows = static_cast<size_t>(end - next_);
     next_ = end;
-    return out;
+    return Chunk(output_schema_, std::move(cols), rows);
   }
 
  private:
@@ -132,40 +189,36 @@ class FilterOp : public Operator {
     }
   }
 
-  Result<Batch> Next() override {
+  Result<Chunk> Next() override {
     while (true) {
-      EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
-      if (in.empty()) return Batch(output_schema_);
+      EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
+      if (in.empty()) return in;
+      const size_t n = in.num_rows();
       if (fill_ratio_ != nullptr && ctx_->batch_size > 0) {
-        fill_ratio_->Observe(static_cast<double>(in.num_rows()) /
+        fill_ratio_->Observe(static_cast<double>(n) /
                              static_cast<double>(ctx_->batch_size));
       }
-      Batch out(output_schema_);
-      bool vectorized = false;
-      if (program_.has_value() &&
-          program_->Execute(in, &keep_).ok()) {
-        // A runtime type error falls through to the interpreter below,
-        // which reproduces the exact short-circuit behavior and error.
-        vectorized = true;
-        for (size_t r = 0; r < in.num_rows(); ++r) {
-          if (keep_[r] != 0) out.AddRow(std::move(in.mutable_rows()[r]));
-        }
-        int64_t n = static_cast<int64_t>(in.num_rows());
+      if (program_.has_value() && program_->Execute(in, &keep_).ok()) {
         if (ctx_->active_stats != nullptr) {
-          ctx_->active_stats->rows_filtered_vectorized += n;
+          ctx_->active_stats->rows_filtered_vectorized +=
+              static_cast<int64_t>(n);
         }
         if (rows_vectorized_ != nullptr) {
           rows_vectorized_->Increment(static_cast<double>(n));
         }
-      }
-      if (!vectorized) {
-        for (const Row& row : in.rows()) {
+      } else {
+        // A runtime type error falls through to the interpreter, which
+        // reproduces the exact short-circuit behavior and error.
+        keep_.assign(n, 0);
+        for (size_t r = 0; r < n; ++r) {
           EVA_ASSIGN_OR_RETURN(
-              bool keep, expr::EvaluateBool(*predicate_, in.schema(), row));
-          if (keep) out.AddRow(row);
+              bool keep,
+              expr::EvaluateBool(*predicate_, in.schema(), in.RowAt(r)));
+          keep_[r] = keep ? 1 : 0;
         }
       }
-      if (!out.empty()) return out;
+      in.Filter(keep_);
+      if (!in.empty()) return in;
     }
   }
 
@@ -180,9 +233,10 @@ class FilterOp : public Operator {
 
 // ---------------------------------------------------------------------------
 // UDF evaluation helpers shared by Apply / CondApply. Callable from runtime
-// worker threads: everything they touch is either immutable (models, video),
-// internally synchronized (UdfRuntime, obs counters), or morsel-local
-// (charge log, metrics, active stats) — see docs/RUNTIME.md.
+// worker threads: everything they touch is either immutable (models, video,
+// the input chunk), internally synchronized (UdfRuntime, obs counters), or
+// morsel-local (charge log, metrics, active stats, tally, output columns)
+// — see docs/RUNTIME.md.
 // ---------------------------------------------------------------------------
 
 // Consults the fault injector before a fresh model evaluation. A transient
@@ -231,66 +285,75 @@ Status MaybeInjectUdfFault(ExecContext* ctx, const UdfDef& def,
   }
 }
 
-// Evaluates the detector on one frame, returning output-column rows
-// (obj, label, area, score). Charges UDF cost and counts the invocation.
-Result<std::vector<Row>> RunDetector(ExecContext* ctx, const UdfDef& def,
-                                     int64_t frame,
-                                     const UdfObsCounters& obs) {
+// Evaluates the detector on one frame. Charges UDF cost and tallies the
+// invocation.
+Result<std::vector<vision::Detection>> RunDetector(
+    ExecContext* ctx, const UdfDef& def, int64_t frame,
+    const UdfObsCounters& obs, UdfTally* tally) {
   obs::ProfScope prof("udf");
   EVA_ASSIGN_OR_RETURN(const vision::DetectorModel* model,
                        ctx->udfs->Detector(def.name));
   EVA_RETURN_IF_ERROR(MaybeInjectUdfFault(ctx, def, frame, -1, obs));
   ctx->Charge(CostCategory::kUdf, def.cost_ms);
   runtime::SpinFor(ctx->udf_spin_us);
-  ctx->metrics->invocations[def.name] += 1;
-  CountInvocation(ctx, obs);
-  std::vector<Row> rows;
-  for (const vision::Detection& d : model->Detect(*ctx->video, frame)) {
-    rows.push_back({Value(static_cast<int64_t>(d.obj_id)), Value(d.label),
-                    Value(d.area), Value(d.score)});
-  }
-  return rows;
+  ++tally->fresh;
+  return model->Detect(*ctx->video, frame);
 }
 
 Result<Value> RunClassifier(ExecContext* ctx, const UdfDef& def,
                             int64_t frame, int64_t obj,
-                            const UdfObsCounters& obs) {
+                            const UdfObsCounters& obs, UdfTally* tally) {
   obs::ProfScope prof("udf");
   EVA_ASSIGN_OR_RETURN(const vision::ClassifierModel* model,
                        ctx->udfs->Classifier(def.name));
   EVA_RETURN_IF_ERROR(MaybeInjectUdfFault(ctx, def, frame, obj, obs));
   ctx->Charge(CostCategory::kUdf, def.cost_ms);
   runtime::SpinFor(ctx->udf_spin_us);
-  ctx->metrics->invocations[def.name] += 1;
-  CountInvocation(ctx, obs);
+  ++tally->fresh;
   return Value(model->Classify(*ctx->video, frame, static_cast<int>(obj)));
 }
 
 Result<Value> RunFilterUdf(ExecContext* ctx, const UdfDef& def,
-                           int64_t frame, const UdfObsCounters& obs) {
+                           int64_t frame, const UdfObsCounters& obs,
+                           UdfTally* tally) {
   obs::ProfScope prof("udf");
   EVA_ASSIGN_OR_RETURN(const vision::FilterModel* model,
                        ctx->udfs->Filter(def.name));
   EVA_RETURN_IF_ERROR(MaybeInjectUdfFault(ctx, def, frame, -1, obs));
   ctx->Charge(CostCategory::kUdf, def.cost_ms);
   runtime::SpinFor(ctx->udf_spin_us);
-  ctx->metrics->invocations[def.name] += 1;
-  CountInvocation(ctx, obs);
+  ++tally->fresh;
   return Value(model->Pass(*ctx->video, frame));
 }
 
+// Appends one output row per detection — (obj, label, area, score), the
+// detector output schema — each from input row `row`.
+void AppendDetections(const std::vector<vision::Detection>& dets,
+                      uint32_t row, std::vector<uint32_t>* src,
+                      std::vector<ColumnBuilder>* cols) {
+  for (const vision::Detection& d : dets) {
+    src->push_back(row);
+    (*cols)[0].AppendInt64(static_cast<int64_t>(d.obj_id));
+    (*cols)[1].AppendString(d.label);
+    (*cols)[2].AppendDouble(d.area);
+    (*cols)[3].AppendDouble(d.score);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Morsel-driven parallel row evaluation.
+// Morsel-driven parallel evaluation.
 //
-// EvalRows is the single driver under Apply and CondApply: it evaluates
-// `row_fn` once per input row, either serially (no pool, FunCache mode, or
-// single-row batches) or split into fixed-size morsels on the work-stealing
-// pool. Each morsel runs with a context clone whose accounting is private
-// (charge log, metrics, operator stats); the driver thread then merges the
-// morsels back IN MORSEL ORDER — output rows concatenate, metric counters
-// add exactly, and the charge logs replay onto the shared SimClock as the
-// very sequence of Charge calls a serial run would have made. That replay
-// is what keeps simulated times bit-identical at every thread count.
+// EvalMorsels is the single driver under Apply and CondApply: it runs
+// `fn` over the input rows, either serially as one range (no pool,
+// FunCache mode, or single-row chunks) or split into fixed-size morsels
+// on the work-stealing pool. A morsel emits a part: its output rows as
+// the input row each came from, plus the operator's new columns. Each
+// morsel runs with a context clone whose accounting is private (charge
+// log, metrics, operator stats); the driver thread then merges the
+// morsels back IN MORSEL ORDER — parts concatenate, metric counters add
+// exactly, and the charge logs replay onto the shared SimClock as the very
+// sequence of Charge calls a serial run would have made. That replay is
+// what keeps simulated times bit-identical at every thread count.
 //
 // FunCache mode stays serial: its per-tuple cache makes row evaluation
 // order-dependent (a row can hit an entry the previous row inserted), which
@@ -299,38 +362,41 @@ Result<Value> RunFilterUdf(ExecContext* ctx, const UdfDef& def,
 //
 // Error semantics: a failing row aborts its own morsel; merging stops at
 // the first failed morsel (in morsel order) after replaying the charges of
-// the preceding complete morsels. Serial execution stops mid-batch instead,
-// so clock state after an *error* may differ from serial — row_fn errors
-// are catalog-lookup failures that plan building already rules out.
+// the preceding complete morsels. Serial execution stops mid-chunk instead,
+// so clock state after an *error* may differ from serial — fn errors are
+// catalog-lookup failures that plan building already rules out.
 // ---------------------------------------------------------------------------
 
-using RowFn = std::function<Status(ExecContext*, const Row&, Batch*)>;
+struct MorselPart {
+  std::vector<uint32_t> src;       // input row of each output row
+  std::vector<ColumnBuilder> cols;  // the operator's new columns
+};
 
-Result<Batch> EvalRows(ExecContext* ctx, const Batch& in,
-                       const Schema& out_schema, const RowFn& row_fn) {
-  const int64_t n = static_cast<int64_t>(in.num_rows());
+using MorselFn =
+    std::function<Status(ExecContext*, size_t, size_t, MorselPart*)>;
+
+Result<MorselPart> EvalMorsels(ExecContext* ctx, size_t n, size_t num_cols,
+                               const MorselFn& fn) {
   const bool parallel =
       ctx->pool != nullptr && ctx->funcache == nullptr && n > 1;
   if (!parallel) {
-    Batch out(out_schema);
-    for (const Row& row : in.rows()) {
-      EVA_RETURN_IF_ERROR(row_fn(ctx, row, &out));
-    }
-    return out;
+    MorselPart part;
+    part.cols.resize(num_cols);
+    EVA_RETURN_IF_ERROR(fn(ctx, 0, n, &part));
+    return part;
   }
   // Morsel split depends only on (n, morsel_rows), never the worker count:
   // identical partitioning is the first half of reproducibility.
   std::vector<runtime::Morsel> morsels =
-      runtime::SplitMorsels(n, ctx->morsel_rows);
+      runtime::SplitMorsels(static_cast<int64_t>(n), ctx->morsel_rows);
   struct MorselOut {
-    Batch rows;
+    MorselPart part;
     runtime::ChargeLog log;
     QueryMetrics metrics;
     obs::OperatorStats stats;
     Status status;
   };
   std::vector<MorselOut> outs(morsels.size());
-  for (MorselOut& o : outs) o.rows = Batch(out_schema);
   ctx->pool->ParallelFor(
       static_cast<int64_t>(morsels.size()), [&](int64_t m) {
         MorselOut& o = outs[static_cast<size_t>(m)];
@@ -338,26 +404,68 @@ Result<Batch> EvalRows(ExecContext* ctx, const Batch& in,
         local.charge_log = &o.log;
         local.metrics = &o.metrics;
         local.active_stats = ctx->active_stats != nullptr ? &o.stats : nullptr;
-        const std::vector<Row>& rows = in.rows();
-        for (int64_t r = morsels[static_cast<size_t>(m)].begin;
-             r < morsels[static_cast<size_t>(m)].end; ++r) {
-          Status s = row_fn(&local, rows[static_cast<size_t>(r)], &o.rows);
-          if (!s.ok()) {
-            o.status = std::move(s);
-            return;
-          }
-        }
+        o.part.cols.resize(num_cols);
+        const runtime::Morsel& range = morsels[static_cast<size_t>(m)];
+        o.status = fn(&local, static_cast<size_t>(range.begin),
+                      static_cast<size_t>(range.end), &o.part);
       });
-  Batch out(out_schema);
-  for (MorselOut& o : outs) {
+  MorselPart out;
+  std::vector<int32_t> remap;
+  for (size_t m = 0; m < outs.size(); ++m) {
+    MorselOut& o = outs[m];
     EVA_RETURN_IF_ERROR(o.status);
     o.log.ReplayInto(ctx->clock);
     ctx->metrics->Accumulate(o.metrics);
     if (ctx->active_stats != nullptr) ctx->active_stats->Add(o.stats);
-    for (Row& row : o.rows.mutable_rows()) out.AddRow(std::move(row));
+    if (m == 0) {
+      out = std::move(o.part);
+      continue;
+    }
+    out.src.insert(out.src.end(), o.part.src.begin(), o.part.src.end());
+    for (size_t c = 0; c < num_cols; ++c) {
+      remap.clear();
+      out.cols[c].AppendRange(o.part.cols[c], 0, o.part.cols[c].size(),
+                              &remap);
+    }
   }
   return out;
 }
+
+// Copies runs of pass-through rows — rows a 1:n operator emits unchanged —
+// from the input's trailing columns into a morsel part. Rows between
+// Take() calls join the pending run; Flush(upto) appends the run up to
+// row `upto`, one AppendRange per column.
+class PassRun {
+ public:
+  PassRun(const Chunk& in, size_t first_col, size_t begin, MorselPart* part)
+      : in_(in), first_col_(first_col), start_(begin), part_(part),
+        remaps_(part->cols.size()) {}
+
+  void Flush(size_t upto) {
+    if (upto <= start_) return;
+    for (size_t r = start_; r < upto; ++r) {
+      part_->src.push_back(static_cast<uint32_t>(r));
+    }
+    for (size_t c = 0; c < part_->cols.size(); ++c) {
+      part_->cols[c].AppendRange(in_.col(first_col_ + c), start_,
+                                 upto - start_, &remaps_[c]);
+    }
+    start_ = upto;
+  }
+  // Row `r` is not a pass-through row: flush the run before it and
+  // restart after it.
+  void Take(size_t r) {
+    Flush(r);
+    start_ = r + 1;
+  }
+
+ private:
+  const Chunk& in_;
+  size_t first_col_;
+  size_t start_;
+  MorselPart* part_;
+  std::vector<std::vector<int32_t>> remaps_;
+};
 
 // FunCache hashing overhead: the cache key covers the UDF's input
 // arguments, dominated by the decoded frame bytes (§5.2).
@@ -386,52 +494,89 @@ class ApplyOp : public Operator {
                                    emit_presence_placeholders));
   }
 
-  Result<Batch> Next() override {
-    EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
-    if (in.empty()) return Batch(output_schema_);
-    int id_idx = in.schema().IndexOf(kColId);
-    int obj_idx = in.schema().IndexOf(kColObj);
-    auto row_fn = [this, id_idx, obj_idx](ExecContext* ctx, const Row& row,
-                                          Batch* out) -> Status {
-      int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
-      if (def_.kind == UdfKind::kDetector) {
-        EVA_ASSIGN_OR_RETURN(std::vector<Row> dets,
-                             DetectorResults(ctx, frame));
-        if (dets.empty() && emit_presence_placeholders_) {
-          // NULL placeholder so the STORE above records presence even for
-          // frames where nothing was detected.
-          Row full = row;
-          for (size_t i = 0; i < UdfOutputSchema(def_).num_fields(); ++i) {
-            full.push_back(Value::Null());
+  Result<Chunk> Next() override {
+    EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
+    if (in.empty()) return Chunk(output_schema_);
+    const size_t n = in.num_rows();
+    const size_t width = in.num_cols();
+    const ColumnBuilder& ids = in.col(static_cast<size_t>(id_idx_));
+    if (def_.kind == UdfKind::kDetector) {
+      const size_t n_outputs = output_schema_.num_fields() - width;
+      auto fn = [&](ExecContext* ctx, size_t begin, size_t end,
+                    MorselPart* part) -> Status {
+        UdfTally tally(ctx, def_.name, obs_);
+        for (size_t r = begin; r < end; ++r) {
+          const int64_t frame = ids.Int64At(r);
+          const uint32_t row = static_cast<uint32_t>(r);
+          if (ctx->funcache != nullptr) {
+            EVA_ASSIGN_OR_RETURN(
+                std::vector<Row> rows,
+                CachedRows(ctx, ViewKey{frame, -1}, &tally, [&] {
+                  return DetectionRows(ctx, frame, &tally);
+                }));
+            if (rows.empty() && emit_presence_placeholders_) {
+              AppendPlaceholder(row, part);
+            }
+            for (const Row& d : rows) {
+              part->src.push_back(row);
+              for (size_t c = 0; c < n_outputs; ++c) part->cols[c].Append(d[c]);
+            }
+            continue;
           }
-          out->AddRow(std::move(full));
-          return Status();
+          EVA_ASSIGN_OR_RETURN(std::vector<vision::Detection> dets,
+                               RunDetector(ctx, def_, frame, obs_, &tally));
+          if (dets.empty() && emit_presence_placeholders_) {
+            // NULL placeholder so the STORE above records presence even
+            // for frames where nothing was detected.
+            AppendPlaceholder(row, part);
+          }
+          AppendDetections(dets, row, &part->src, &part->cols);
         }
-        for (Row& d : dets) {
-          Row full = row;
-          for (Value& v : d) full.push_back(std::move(v));
-          out->AddRow(std::move(full));
-        }
-      } else if (def_.kind == UdfKind::kClassifier) {
-        const Value& obj_v = row[static_cast<size_t>(obj_idx)];
-        Row full = row;
-        if (obj_v.is_null()) {
-          full.push_back(Value::Null());
+        return Status::OK();
+      };
+      EVA_ASSIGN_OR_RETURN(MorselPart part,
+                           EvalMorsels(ctx_, n, n_outputs, fn));
+      std::vector<ColumnBuilder> cols = GatherColumns(&in, width, part.src);
+      for (ColumnBuilder& c : part.cols) cols.push_back(std::move(c));
+      return Chunk(output_schema_, std::move(cols), part.src.size());
+    }
+    // Classifier / filter UDF: one new column, row for row.
+    const int obj_idx = obj_idx_;
+    auto fn = [&](ExecContext* ctx, size_t begin, size_t end,
+                  MorselPart* part) -> Status {
+      UdfTally tally(ctx, def_.name, obs_);
+      ColumnBuilder& out = part->cols[0];
+      for (size_t r = begin; r < end; ++r) {
+        const int64_t frame = ids.Int64At(r);
+        if (def_.kind == UdfKind::kClassifier) {
+          const ColumnBuilder& objs = in.col(static_cast<size_t>(obj_idx));
+          if (objs.IsNull(r)) {
+            out.AppendNull();
+            continue;
+          }
+          const int64_t obj = objs.Int64At(r);
+          EVA_ASSIGN_OR_RETURN(Value v, OneValue(ctx, ViewKey{frame, obj},
+                                                 &tally, [&] {
+                                                   return RunClassifier(
+                                                       ctx, def_, frame, obj,
+                                                       obs_, &tally);
+                                                 }));
+          out.Append(v);
         } else {
-          EVA_ASSIGN_OR_RETURN(Value v,
-                               ClassifierResult(ctx, frame, obj_v.AsInt64()));
-          full.push_back(std::move(v));
+          EVA_ASSIGN_OR_RETURN(Value v, OneValue(ctx, ViewKey{frame, -1},
+                                                 &tally, [&] {
+                                                   return RunFilterUdf(
+                                                       ctx, def_, frame,
+                                                       obs_, &tally);
+                                                 }));
+          out.Append(v);
         }
-        out->AddRow(std::move(full));
-      } else {  // filter UDF
-        EVA_ASSIGN_OR_RETURN(Value v, FilterResult(ctx, frame));
-        Row full = row;
-        full.push_back(std::move(v));
-        out->AddRow(std::move(full));
       }
-      return Status();
+      return Status::OK();
     };
-    return EvalRows(ctx_, in, output_schema_, row_fn);
+    EVA_ASSIGN_OR_RETURN(MorselPart part, EvalMorsels(ctx_, n, 1, fn));
+    in.cols().push_back(std::move(part.cols[0]));
+    return Chunk(output_schema_, std::move(in.cols()), n);
   }
 
  private:
@@ -441,73 +586,72 @@ class ApplyOp : public Operator {
         child_(std::move(child)),
         def_(std::move(def)),
         emit_presence_placeholders_(emit_presence_placeholders),
-        obs_(MakeUdfCounters(ctx, def_.name)) {}
+        obs_(MakeUdfCounters(ctx, def_.name)),
+        id_idx_(child_->output_schema().IndexOf(kColId)),
+        obj_idx_(child_->output_schema().IndexOf(kColObj)) {}
+
+  // A row of NULL detector outputs for input row `row`.
+  static void AppendPlaceholder(uint32_t row, MorselPart* part) {
+    part->src.push_back(row);
+    for (ColumnBuilder& c : part->cols) c.AppendNull();
+  }
 
   // The helpers below receive the morsel-local context (`ctx`, not `ctx_`)
   // so worker-thread accounting lands in the morsel's private charge log.
-  // The FunCache branches only ever see ctx == ctx_: EvalRows keeps
+  // The FunCache branches only ever see ctx == ctx_: EvalMorsels keeps
   // FunCache mode serial because the cache is order-dependent.
-  Result<std::vector<Row>> DetectorResults(ExecContext* ctx, int64_t frame) {
-    if (ctx->funcache != nullptr) {
-      ChargeFunCacheHash(ctx);
-      ViewKey key{frame, -1};
-      if (const std::vector<Row>* hit =
-              ctx->funcache->Lookup(def_.name, key)) {
-        ctx->metrics->invocations[def_.name] += 1;
-        ctx->metrics->reused[def_.name] += 1;
-        CountReuse(ctx, obs_);
-        return *hit;
-      }
-      EVA_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                           RunDetector(ctx, def_, frame, obs_));
-      ctx->funcache->Insert(def_.name, key, rows);
-      return rows;
+
+  // FunCache mode: the cached output rows of `key`, or the fresh result of
+  // `compute`, inserted into the cache.
+  template <typename Compute>
+  Result<std::vector<Row>> CachedRows(ExecContext* ctx, const ViewKey& key,
+                                      UdfTally* tally,
+                                      const Compute& compute) {
+    ChargeFunCacheHash(ctx);
+    if (const std::vector<Row>* hit = ctx->funcache->Lookup(def_.name, key)) {
+      ++tally->cached;
+      return *hit;
     }
-    return RunDetector(ctx, def_, frame, obs_);
+    EVA_ASSIGN_OR_RETURN(std::vector<Row> rows, compute());
+    ctx->funcache->Insert(def_.name, key, rows);
+    return rows;
   }
 
-  Result<Value> ClassifierResult(ExecContext* ctx, int64_t frame,
-                                 int64_t obj) {
-    if (ctx->funcache != nullptr) {
-      ChargeFunCacheHash(ctx);
-      ViewKey key{frame, obj};
-      if (const std::vector<Row>* hit =
-              ctx->funcache->Lookup(def_.name, key)) {
-        ctx->metrics->invocations[def_.name] += 1;
-        ctx->metrics->reused[def_.name] += 1;
-        CountReuse(ctx, obs_);
-        return (*hit)[0][0];
-      }
-      EVA_ASSIGN_OR_RETURN(Value v,
-                           RunClassifier(ctx, def_, frame, obj, obs_));
-      ctx->funcache->Insert(def_.name, key, {{v}});
-      return v;
+  Result<std::vector<Row>> DetectionRows(ExecContext* ctx, int64_t frame,
+                                         UdfTally* tally) {
+    EVA_ASSIGN_OR_RETURN(std::vector<vision::Detection> dets,
+                         RunDetector(ctx, def_, frame, obs_, tally));
+    std::vector<Row> rows;
+    rows.reserve(dets.size());
+    for (vision::Detection& d : dets) {
+      rows.push_back({Value(static_cast<int64_t>(d.obj_id)),
+                      Value(std::move(d.label)), Value(d.area),
+                      Value(d.score)});
     }
-    return RunClassifier(ctx, def_, frame, obj, obs_);
+    return rows;
   }
 
-  Result<Value> FilterResult(ExecContext* ctx, int64_t frame) {
-    if (ctx->funcache != nullptr) {
-      ChargeFunCacheHash(ctx);
-      ViewKey key{frame, -1};
-      if (const std::vector<Row>* hit =
-              ctx->funcache->Lookup(def_.name, key)) {
-        ctx->metrics->invocations[def_.name] += 1;
-        ctx->metrics->reused[def_.name] += 1;
-        CountReuse(ctx, obs_);
-        return (*hit)[0][0];
-      }
-      EVA_ASSIGN_OR_RETURN(Value v, RunFilterUdf(ctx, def_, frame, obs_));
-      ctx->funcache->Insert(def_.name, key, {{v}});
-      return v;
-    }
-    return RunFilterUdf(ctx, def_, frame, obs_);
+  // A single-valued UDF result (classifier / filter): through the FunCache
+  // when one is active, straight from `run` otherwise.
+  template <typename Run>
+  Result<Value> OneValue(ExecContext* ctx, const ViewKey& key,
+                         UdfTally* tally, const Run& run) {
+    if (ctx->funcache == nullptr) return run();
+    EVA_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                         CachedRows(ctx, key, tally,
+                                    [&]() -> Result<std::vector<Row>> {
+                                      EVA_ASSIGN_OR_RETURN(Value v, run());
+                                      return std::vector<Row>{Row{v}};
+                                    }));
+    return rows[0][0];
   }
 
   OperatorPtr child_;
   UdfDef def_;
   bool emit_presence_placeholders_;
   UdfObsCounters obs_;
+  int id_idx_;
+  int obj_idx_;
 };
 
 // ---------------------------------------------------------------------------
@@ -517,14 +661,16 @@ class ApplyOp : public Operator {
 //
 // Probing is batched: a pre-pass classifies each input row (pass-through /
 // NULL-out / probe) and collects the probe keys, then one ProbeBatch call
-// answers every probe under a single view-lock acquisition from the
-// columnar segment projections. When the plan attached a residual
-// predicate and zone-map skipping is on, segments whose zone maps prove
-// the residual unsatisfiable are skipped: their hits keep identical
-// metrics, access stamps, and probe charges, but the kReadView charge and
-// the output rows are dropped — the residual FilterNode above would
-// discard those rows anyway (and STORE skips keys already present), so
-// query results are unchanged at any thread count.
+// answers every probe under a single view-lock acquisition. Hit cells are
+// decoded lane to lane into the output columns, one AppendRange per run
+// of contiguous rows in a probed segment; the base columns are gathered
+// by input row index. When the plan attached a residual predicate and
+// zone-map skipping is on, segments whose zone maps prove the residual
+// unsatisfiable are skipped: their hits keep identical metrics, access
+// stamps, and probe charges, but the kReadView charge and the output rows
+// are dropped — the residual FilterNode above would discard those rows
+// anyway (and STORE skips keys already present), so query results are
+// unchanged at any thread count.
 // ---------------------------------------------------------------------------
 
 class ViewJoinOp : public Operator {
@@ -547,7 +693,7 @@ class ViewJoinOp : public Operator {
                                       std::move(residual), std::move(out)));
   }
 
-  Result<Batch> Next() override {
+  Result<Chunk> Next() override {
     if (scan_all_pending_) {
       // HashStash: dedup the union of all matched operator outputs — a
       // full read of the recycled materialization (§5.1 baseline).
@@ -559,188 +705,19 @@ class ViewJoinOp : public Operator {
                          static_cast<double>(view->num_rows()));
       }
     }
-    EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
-    Batch out(output_schema_);
-    if (in.empty()) return out;
-    MaterializedView* view = ctx_->views->Find(view_name_);
-    int id_idx = in.schema().IndexOf(kColId);
-    int obj_idx = in.schema().IndexOf(kColObj);
-    size_t n_outputs = UdfOutputSchema(def_).num_fields();
-    bool outputs_present =
-        in.schema().Contains(def_.kind == UdfKind::kDetector
-                                 ? kColObj
-                                 : def_.name);
-    int already_idx = in.schema().IndexOf(def_.name);
-
-    // Pre-pass: classify rows and collect probe keys. Within one batch no
-    // Put can land on this view (STORE sits above and runs only after the
-    // batch is emitted), so a batch-start probe equals per-row probes.
-    enum RowAction : uint8_t { kPass = 0, kNullOut, kProbe };
-    actions_.clear();
-    probe_keys_.clear();
-    for (const Row& row : in.rows()) {
-      int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
-      if (def_.kind == UdfKind::kDetector) {
-        // A row that already has a non-null obj was populated by an
-        // earlier view in the chain; pass it through.
-        if (outputs_present && obj_idx >= 0 &&
-            !row[static_cast<size_t>(obj_idx)].is_null()) {
-          actions_.push_back(kPass);
-          continue;
-        }
-        actions_.push_back(kProbe);
-        probe_keys_.push_back(ViewKey{frame, -1});
-      } else {
-        bool already =
-            already_idx >= 0 &&
-            !row[static_cast<size_t>(already_idx)].is_null();
-        if (already) {
-          actions_.push_back(kPass);
-          continue;
-        }
-        const Value& obj_v = obj_idx >= 0
-                                 ? row[static_cast<size_t>(obj_idx)]
-                                 : Value::Null();
-        if (def_.kind == UdfKind::kClassifier && obj_v.is_null()) {
-          actions_.push_back(kNullOut);
-          continue;
-        }
-        actions_.push_back(kProbe);
-        probe_keys_.push_back(
-            ViewKey{frame, def_.kind == UdfKind::kClassifier
-                               ? obj_v.AsInt64()
-                               : -1});
-      }
+    // A chunk whose every row was skipped by the zone check yields no
+    // rows; keep pulling so an empty chunk only ever means end of stream.
+    while (true) {
+      EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
+      if (in.empty()) return Chunk(output_schema_);
+      Chunk out = Join(std::move(in));
+      if (!out.empty()) return out;
     }
-    probe_res_.Clear();
-    if (view != nullptr && !probe_keys_.empty()) {
-      storage::ZoneCheckFn zone_fn;
-      if (ctx_->zone_map_skipping && residual_ != nullptr) {
-        zone_fn = [this](const storage::SegmentZone& seg) {
-          return ZoneCanMatch(*residual_, seg, value_schema_);
-        };
-      }
-      view->ProbeBatch(probe_keys_, zone_fn, &probe_res_);
-    }
-
-    size_t oi = 0;  // cursor into probe_res_.outcomes, in probe order
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      const Row& row = in.rows()[r];
-      int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
-      if (def_.kind == UdfKind::kDetector) {
-        if (actions_[r] == kPass) {
-          out.AddRow(row);
-          continue;
-        }
-        ctx_->Charge(CostCategory::kOther,
-                     ctx_->costs.view_probe_ms_per_key);
-        const storage::ProbeOutcome* oc =
-            view != nullptr ? &probe_res_.outcomes[oi++] : nullptr;
-        if (oc != nullptr && oc->status != storage::ProbeStatus::kMiss) {
-          ctx_->metrics->invocations[def_.name] += 1;
-          ctx_->metrics->reused[def_.name] += 1;
-          CountProbe(true);
-          view->RecordAccess(frame, ctx_->views->NextAccessTick(),
-                             ctx_->query_id);
-          if (oc->status == storage::ProbeStatus::kHit) {
-            ctx_->Charge(CostCategory::kReadView,
-                         ctx_->costs.view_read_ms_per_row *
-                             static_cast<double>(oc->rows_count));
-            // Cells come straight out of the pinned columnar snapshot —
-            // one materialization, directly into the output row.
-            for (int32_t i = 0; i < oc->rows_count; ++i) {
-              const storage::ColumnarSegment& seg = probe_res_.segment(*oc);
-              Row full = TrimmedBase(row);
-              size_t vr = static_cast<size_t>(oc->rows_begin + i);
-              for (const storage::ColumnVec& cv : seg.cols) {
-                full.push_back(cv.At(vr));
-              }
-              out.AddRow(std::move(full));
-            }
-          }
-          // kHitSkipped: the zone map proved the residual filter above
-          // discards every stored row — skip the read, emit nothing.
-        } else {
-          CountProbe(false);
-          Row full = TrimmedBase(row);
-          for (size_t i = 0; i < n_outputs; ++i) {
-            full.push_back(Value::Null());
-          }
-          out.AddRow(std::move(full));
-        }
-      } else {
-        // Classifier / filter UDF: single output column.
-        int out_idx = output_schema_.IndexOf(def_.name);
-        Row full = row;
-        full.resize(output_schema_.num_fields());
-        if (actions_[r] == kPass) {
-          out.AddRow(std::move(full));
-          continue;
-        }
-        if (actions_[r] == kNullOut) {
-          full[static_cast<size_t>(out_idx)] = Value::Null();
-          out.AddRow(std::move(full));
-          continue;
-        }
-        ctx_->Charge(CostCategory::kOther,
-                     ctx_->costs.view_probe_ms_per_key);
-        const storage::ProbeOutcome* oc =
-            view != nullptr ? &probe_res_.outcomes[oi++] : nullptr;
-        if (oc != nullptr && oc->status != storage::ProbeStatus::kMiss) {
-          ctx_->metrics->invocations[def_.name] += 1;
-          ctx_->metrics->reused[def_.name] += 1;
-          CountProbe(true);
-          view->RecordAccess(frame, ctx_->views->NextAccessTick(),
-                             ctx_->query_id);
-          if (oc->status == storage::ProbeStatus::kHit) {
-            ctx_->Charge(CostCategory::kReadView,
-                         ctx_->costs.view_read_ms_per_row);
-            full[static_cast<size_t>(out_idx)] =
-                oc->rows_count == 0
-                    ? Value::Null()
-                    : probe_res_.segment(*oc).cols[0].At(
-                          static_cast<size_t>(oc->rows_begin));
-            out.AddRow(std::move(full));
-          }
-          // kHitSkipped: drop the row — STORE finds its key present (no
-          // Put) and the residual filter above would discard it.
-        } else {
-          CountProbe(false);
-          full[static_cast<size_t>(out_idx)] = Value::Null();
-          out.AddRow(std::move(full));
-        }
-      }
-    }
-    if (probe_res_.segments_skipped > 0) {
-      if (ctx_->active_stats != nullptr) {
-        ctx_->active_stats->segments_skipped += probe_res_.segments_skipped;
-      }
-      if (segments_skipped_ != nullptr) {
-        segments_skipped_->Increment(
-            static_cast<double>(probe_res_.segments_skipped));
-      }
-    }
-    if (probe_res_.bloom_negatives > 0 || probe_res_.bloom_fps > 0 ||
-        probe_res_.bloom_hits > 0) {
-      if (ctx_->active_stats != nullptr) {
-        ctx_->active_stats->bloom_negatives += probe_res_.bloom_negatives;
-        ctx_->active_stats->bloom_fps += probe_res_.bloom_fps;
-      }
-      if (bloom_hits_ != nullptr && probe_res_.bloom_hits > 0) {
-        bloom_hits_->Increment(static_cast<double>(probe_res_.bloom_hits));
-      }
-      if (bloom_negatives_ != nullptr && probe_res_.bloom_negatives > 0) {
-        bloom_negatives_->Increment(
-            static_cast<double>(probe_res_.bloom_negatives));
-      }
-      if (bloom_fps_ != nullptr && probe_res_.bloom_fps > 0) {
-        bloom_fps_->Increment(static_cast<double>(probe_res_.bloom_fps));
-      }
-    }
-    return out;
   }
 
  private:
+  enum RowAction : uint8_t { kPass = 0, kNullOut, kProbe };
+
   ViewJoinOp(ExecContext* ctx, OperatorPtr child, UdfDef def,
              std::string view_name, bool scan_all, expr::ExprPtr residual,
              Schema schema)
@@ -751,11 +728,17 @@ class ViewJoinOp : public Operator {
         scan_all_pending_(scan_all),
         residual_(std::move(residual)),
         value_schema_(UdfOutputSchema(def_)) {
+    const Schema& in = child_->output_schema();
+    id_idx_ = in.IndexOf(kColId);
+    obj_idx_ = in.IndexOf(kColObj);
+    already_idx_ = in.IndexOf(def_.name);
+    outputs_present_ =
+        in.Contains(def_.kind == UdfKind::kDetector ? kColObj : def_.name);
+    out_idx_ = output_schema_.IndexOf(def_.name);
     // Width of the input columns that precede the detector outputs: when
     // the input already carries (possibly NULL) output columns from an
-    // earlier view join, strip them before re-appending.
-    output_width_base_ = output_schema_.num_fields() -
-                         UdfOutputSchema(def_).num_fields();
+    // earlier view join, they are replaced rather than re-appended.
+    output_width_base_ = output_schema_.num_fields() - value_schema_.num_fields();
     if (ctx->obs_registry != nullptr) {
       probe_hits_ = ctx->obs_registry->GetCounter(
           "eva_view_probe_hits_total",
@@ -784,22 +767,269 @@ class ViewJoinOp : public Operator {
     }
   }
 
-  void CountProbe(bool hit) {
-    if (ctx_->active_stats != nullptr) {
-      if (hit) {
-        ++ctx_->active_stats->view_hits;
-        ++ctx_->active_stats->rows_reused;
-      } else {
-        ++ctx_->active_stats->view_misses;
+  Chunk Join(Chunk in) {
+    MaterializedView* view = ctx_->views->Find(view_name_);
+    const size_t n = in.num_rows();
+    const ColumnBuilder& ids = in.col(static_cast<size_t>(id_idx_));
+    const ColumnBuilder* objs =
+        obj_idx_ >= 0 ? &in.col(static_cast<size_t>(obj_idx_)) : nullptr;
+    const ColumnBuilder* already =
+        already_idx_ >= 0 ? &in.col(static_cast<size_t>(already_idx_))
+                          : nullptr;
+
+    // Pre-pass: classify rows and collect probe keys. Within one chunk no
+    // Put can land on this view (STORE sits above and runs only after the
+    // chunk is emitted), so a chunk-start probe equals per-row probes.
+    actions_.assign(n, kProbe);
+    probe_keys_.clear();
+    for (size_t r = 0; r < n; ++r) {
+      const int64_t frame = ids.Int64At(r);
+      if (def_.kind == UdfKind::kDetector) {
+        // A row that already has a non-null obj was populated by an
+        // earlier view in the chain; pass it through.
+        if (outputs_present_ && objs != nullptr && !objs->IsNull(r)) {
+          actions_[r] = kPass;
+          continue;
+        }
+        probe_keys_.push_back(ViewKey{frame, -1});
+        continue;
       }
+      if (already != nullptr && !already->IsNull(r)) {
+        actions_[r] = kPass;
+        continue;
+      }
+      const bool obj_null = objs == nullptr || objs->IsNull(r);
+      if (def_.kind == UdfKind::kClassifier && obj_null) {
+        actions_[r] = kNullOut;
+        continue;
+      }
+      probe_keys_.push_back(ViewKey{
+          frame, def_.kind == UdfKind::kClassifier ? objs->Int64At(r) : -1});
     }
-    if (hit && probe_hits_ != nullptr) probe_hits_->Increment();
-    if (!hit && probe_misses_ != nullptr) probe_misses_->Increment();
+    probe_res_.Clear();
+    if (view != nullptr && !probe_keys_.empty()) {
+      storage::ZoneCheckFn zone_fn;
+      if (ctx_->zone_map_skipping && residual_ != nullptr) {
+        zone_fn = [this](const storage::SegmentZone& seg) {
+          return ZoneCanMatch(*residual_, seg, value_schema_);
+        };
+      }
+      view->ProbeBatch(probe_keys_, zone_fn, &probe_res_);
+    }
+    remaps_.assign(probe_res_.segments.size() * value_schema_.num_fields(),
+                   {});
+    run_ = HitRun{};
+    hits_ = 0;
+    misses_ = 0;
+    hit_frames_.clear();
+
+    Chunk out = def_.kind == UdfKind::kDetector
+                    ? JoinDetector(std::move(in), view != nullptr)
+                    : JoinSingle(std::move(in), view != nullptr);
+    RecordProbes(view);
+    return out;
   }
 
-  Row TrimmedBase(const Row& row) const {
-    size_t base = std::min(row.size(), output_width_base_);
-    return Row(row.begin(), row.begin() + static_cast<long>(base));
+  // Probe outcome of the next probed row (nullptr without a view), after
+  // its probe charge; counts it and stamps hits for RecordProbes.
+  const storage::ProbeOutcome* NextOutcome(bool have_view, int64_t frame) {
+    ctx_->Charge(CostCategory::kOther, ctx_->costs.view_probe_ms_per_key);
+    const storage::ProbeOutcome* oc =
+        have_view ? &probe_res_.outcomes[next_outcome_++] : nullptr;
+    if (oc == nullptr || oc->status == storage::ProbeStatus::kMiss) {
+      ++misses_;
+      return nullptr;
+    }
+    ++hits_;
+    hit_frames_.push_back(frame);
+    return oc;
+  }
+
+  // Detector view: a hit expands into the key's stored rows, a miss into
+  // one row of NULL outputs, a pass-through row stays as it is.
+  Chunk JoinDetector(Chunk in, bool have_view) {
+    const size_t n = in.num_rows();
+    const size_t base = output_width_base_;
+    const size_t n_outputs = value_schema_.num_fields();
+    const ColumnBuilder& ids = in.col(static_cast<size_t>(id_idx_));
+    std::vector<uint32_t> src;
+    src.reserve(n);
+    std::vector<ColumnBuilder> outs(n_outputs);
+    std::vector<std::vector<int32_t>> pass_remaps(n_outputs);
+    next_outcome_ = 0;
+    for (size_t r = 0; r < n; ++r) {
+      const uint32_t row = static_cast<uint32_t>(r);
+      if (actions_[r] == kPass) {
+        FlushRun(&outs);
+        src.push_back(row);
+        for (size_t c = 0; c < n_outputs; ++c) {
+          if (base + c < in.num_cols()) {
+            outs[c].AppendRange(in.col(base + c), r, 1, &pass_remaps[c]);
+          } else {
+            outs[c].AppendNull();
+          }
+        }
+        continue;
+      }
+      const storage::ProbeOutcome* oc = NextOutcome(have_view, ids.Int64At(r));
+      if (oc == nullptr) {
+        FlushRun(&outs);
+        src.push_back(row);
+        for (ColumnBuilder& c : outs) c.AppendNull();
+        continue;
+      }
+      // kHitSkipped: the zone map proved the residual filter above
+      // discards every stored row — skip the read, emit nothing.
+      if (oc->status != storage::ProbeStatus::kHit) continue;
+      ctx_->Charge(CostCategory::kReadView,
+                   ctx_->costs.view_read_ms_per_row *
+                       static_cast<double>(oc->rows_count));
+      src.insert(src.end(), static_cast<size_t>(oc->rows_count), row);
+      ExtendRun(*oc, oc->rows_count, &outs);
+    }
+    FlushRun(&outs);
+    std::vector<ColumnBuilder> cols = GatherColumns(&in, base, src);
+    for (ColumnBuilder& c : outs) cols.push_back(std::move(c));
+    return Chunk(output_schema_, std::move(cols), src.size());
+  }
+
+  // Classifier / filter view: one output column, set row for row; a
+  // skipped hit drops its row.
+  Chunk JoinSingle(Chunk in, bool have_view) {
+    const size_t n = in.num_rows();
+    const ColumnBuilder& ids = in.col(static_cast<size_t>(id_idx_));
+    const bool in_has_out = static_cast<size_t>(out_idx_) < in.num_cols();
+    std::vector<ColumnBuilder> vals(1);
+    std::vector<int32_t> pass_remap;
+    keep_.assign(n, 1);
+    bool dropped = false;
+    next_outcome_ = 0;
+    for (size_t r = 0; r < n; ++r) {
+      if (actions_[r] == kPass) {
+        FlushRun(&vals);
+        vals[0].AppendRange(in.col(static_cast<size_t>(out_idx_)), r, 1,
+                            &pass_remap);
+        continue;
+      }
+      if (actions_[r] == kNullOut) {
+        FlushRun(&vals);
+        vals[0].AppendNull();
+        continue;
+      }
+      const storage::ProbeOutcome* oc = NextOutcome(have_view, ids.Int64At(r));
+      if (oc == nullptr) {
+        FlushRun(&vals);
+        vals[0].AppendNull();
+        continue;
+      }
+      if (oc->status != storage::ProbeStatus::kHit) {
+        // kHitSkipped: drop the row — STORE finds its key present (no
+        // Put) and the residual filter above would discard it.
+        keep_[r] = 0;
+        dropped = true;
+        continue;
+      }
+      ctx_->Charge(CostCategory::kReadView, ctx_->costs.view_read_ms_per_row);
+      if (oc->rows_count == 0) {
+        FlushRun(&vals);
+        vals[0].AppendNull();
+      } else {
+        ExtendRun(*oc, 1, &vals);  // the key's first stored row
+      }
+    }
+    FlushRun(&vals);
+    if (dropped) in.Filter(keep_);
+    const size_t rows = vals[0].size();
+    std::vector<ColumnBuilder>& cols = in.cols();
+    if (in_has_out) {
+      cols[static_cast<size_t>(out_idx_)] = std::move(vals[0]);
+    } else {
+      cols.push_back(std::move(vals[0]));
+    }
+    return Chunk(output_schema_, std::move(cols), rows);
+  }
+
+  // Pending run of contiguous hit rows in one probed segment.
+  struct HitRun {
+    int32_t seg = -1;
+    int32_t begin = 0;
+    int32_t count = 0;
+  };
+
+  // Adds `count` rows of `oc` to the pending run, flushing it first when
+  // they do not continue it.
+  void ExtendRun(const storage::ProbeOutcome& oc, int32_t count,
+                 std::vector<ColumnBuilder>* outs) {
+    if (oc.seg_index != run_.seg || oc.rows_begin != run_.begin + run_.count) {
+      FlushRun(outs);
+      run_.seg = oc.seg_index;
+      run_.begin = oc.rows_begin;
+    }
+    run_.count += count;
+  }
+
+  // Decodes the pending run into the output columns, lane to lane.
+  void FlushRun(std::vector<ColumnBuilder>* outs) {
+    if (run_.count == 0) return;
+    const storage::ColumnarSegment& seg =
+        *probe_res_.segments[static_cast<size_t>(run_.seg)];
+    const size_t width = value_schema_.num_fields();
+    for (size_t c = 0; c < outs->size(); ++c) {
+      (*outs)[c].AppendRange(
+          seg.cols[c], static_cast<size_t>(run_.begin),
+          static_cast<size_t>(run_.count),
+          &remaps_[static_cast<size_t>(run_.seg) * width + c]);
+    }
+    run_.count = 0;
+  }
+
+  // Per-chunk bookkeeping, once: metrics, per-node stats and registry
+  // counters, then the hit segments' access stamps under one view lock.
+  void RecordProbes(MaterializedView* view) {
+    obs::OperatorStats* stats = ctx_->active_stats;
+    if (hits_ > 0) {
+      ctx_->metrics->invocations[def_.name] += hits_;
+      ctx_->metrics->reused[def_.name] += hits_;
+      if (stats != nullptr) {
+        stats->view_hits += hits_;
+        stats->rows_reused += hits_;
+      }
+      if (probe_hits_ != nullptr) {
+        probe_hits_->Increment(static_cast<double>(hits_));
+      }
+      const uint64_t first_tick =
+          ctx_->views->NextAccessTicks(static_cast<uint64_t>(hits_));
+      view->RecordAccesses(hit_frames_, first_tick, ctx_->query_id);
+    }
+    if (misses_ > 0) {
+      if (stats != nullptr) stats->view_misses += misses_;
+      if (probe_misses_ != nullptr) {
+        probe_misses_->Increment(static_cast<double>(misses_));
+      }
+    }
+    if (probe_res_.segments_skipped > 0) {
+      if (stats != nullptr) {
+        stats->segments_skipped += probe_res_.segments_skipped;
+      }
+      if (segments_skipped_ != nullptr) {
+        segments_skipped_->Increment(
+            static_cast<double>(probe_res_.segments_skipped));
+      }
+    }
+    if (stats != nullptr) {
+      stats->bloom_negatives += probe_res_.bloom_negatives;
+      stats->bloom_fps += probe_res_.bloom_fps;
+    }
+    if (bloom_hits_ != nullptr && probe_res_.bloom_hits > 0) {
+      bloom_hits_->Increment(static_cast<double>(probe_res_.bloom_hits));
+    }
+    if (bloom_negatives_ != nullptr && probe_res_.bloom_negatives > 0) {
+      bloom_negatives_->Increment(
+          static_cast<double>(probe_res_.bloom_negatives));
+    }
+    if (bloom_fps_ != nullptr && probe_res_.bloom_fps > 0) {
+      bloom_fps_->Increment(static_cast<double>(probe_res_.bloom_fps));
+    }
   }
 
   OperatorPtr child_;
@@ -808,11 +1038,25 @@ class ViewJoinOp : public Operator {
   bool scan_all_pending_;
   expr::ExprPtr residual_;
   Schema value_schema_;  // the view's value schema (zone-check resolution)
-  size_t output_width_base_;
-  // Per-batch scratch, reused across Next() calls.
+  // Column positions, resolved once from the input / output schemas.
+  int id_idx_ = -1;
+  int obj_idx_ = -1;
+  int already_idx_ = -1;
+  bool outputs_present_ = false;
+  int out_idx_ = -1;
+  size_t output_width_base_ = 0;
+  // Per-chunk scratch, reused across Next() calls.
   std::vector<uint8_t> actions_;
+  std::vector<uint8_t> keep_;
   std::vector<ViewKey> probe_keys_;
   storage::ProbeResult probe_res_;
+  size_t next_outcome_ = 0;  // cursor into probe_res_.outcomes
+  HitRun run_;
+  // Dictionary remaps per (probed segment, output column).
+  std::vector<std::vector<int32_t>> remaps_;
+  int64_t hits_ = 0;
+  int64_t misses_ = 0;
+  std::vector<int64_t> hit_frames_;  // one per hit, in probe order
   obs::Counter* probe_hits_ = nullptr;
   obs::Counter* probe_misses_ = nullptr;
   obs::Counter* segments_skipped_ = nullptr;
@@ -824,7 +1068,8 @@ class ViewJoinOp : public Operator {
 // ---------------------------------------------------------------------------
 // CondApply: the conditional apply operator A[p*] (Fig. 4 step 2). The
 // pass-through predicate is "outputs IS NOT NULL": only rows missing from
-// the view are evaluated.
+// the view are evaluated. Pass-through rows are copied in runs; a chunk
+// with nothing to evaluate flows through untouched.
 // ---------------------------------------------------------------------------
 
 class CondApplyOp : public Operator {
@@ -845,64 +1090,85 @@ class CondApplyOp : public Operator {
                                        std::move(schema)));
   }
 
-  Result<Batch> Next() override {
-    EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
-    if (in.empty()) return Batch(output_schema_);
-    int id_idx = in.schema().IndexOf(kColId);
-    int obj_idx = in.schema().IndexOf(kColObj);
-    size_t n_outputs = UdfOutputSchema(def_).num_fields();
-    size_t base_width = output_schema_.num_fields() - n_outputs;
-    // Batch-level overhead charges on the driver thread before any morsel
+  Result<Chunk> Next() override {
+    EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
+    if (in.empty()) return in;
+    const size_t n = in.num_rows();
+    // Chunk-level overhead charges on the driver thread before any morsel
     // runs, matching the serial charge order exactly.
     ctx_->Charge(CostCategory::kOther,
                  ctx_->costs.apply_overhead_ms_per_row *
-                     static_cast<double>(in.num_rows()));
-    auto row_fn = [this, id_idx, obj_idx, base_width](
-                      ExecContext* ctx, const Row& row,
-                      Batch* out) -> Status {
-      int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
-      if (def_.kind == UdfKind::kDetector) {
-        if (!row[static_cast<size_t>(obj_idx)].is_null()) {
-          out->AddRow(row);  // populated by the view join: pass through
-          return Status();
+                     static_cast<double>(n));
+    const ColumnBuilder& ids = in.col(static_cast<size_t>(id_idx_));
+    const ColumnBuilder* objs =
+        obj_idx_ >= 0 ? &in.col(static_cast<size_t>(obj_idx_)) : nullptr;
+    if (def_.kind == UdfKind::kDetector) {
+      // Rows with a NULL obj missed the view: run the detector. A row with
+      // detections is replaced by them; every other row (populated by the
+      // view join, or a NULL placeholder of a frame with zero objects,
+      // which STORE still records) passes through.
+      size_t pending = 0;
+      for (size_t r = 0; r < n; ++r) pending += objs->IsNull(r);
+      if (pending == 0) return in;
+      const size_t n_outputs = UdfOutputSchema(def_).num_fields();
+      const size_t base = output_schema_.num_fields() - n_outputs;
+      auto fn = [&](ExecContext* ctx, size_t begin, size_t end,
+                    MorselPart* part) -> Status {
+        UdfTally tally(ctx, def_.name, obs_);
+        PassRun pass(in, base, begin, part);
+        for (size_t r = begin; r < end; ++r) {
+          if (!objs->IsNull(r)) continue;
+          EVA_ASSIGN_OR_RETURN(
+              std::vector<vision::Detection> dets,
+              RunDetector(ctx, def_, ids.Int64At(r), obs_, &tally));
+          if (dets.empty()) continue;  // keep the NULL placeholder
+          pass.Take(r);
+          AppendDetections(dets, static_cast<uint32_t>(r), &part->src,
+                           &part->cols);
         }
-        EVA_ASSIGN_OR_RETURN(std::vector<Row> dets,
-                             RunDetector(ctx, def_, frame, obs_));
-        if (dets.empty()) {
-          // Keep the NULL placeholder so STORE records "frame processed,
-          // zero objects" before dropping it.
-          out->AddRow(row);
-          return Status();
-        }
-        for (Row& d : dets) {
-          Row full(row.begin(), row.begin() + static_cast<long>(base_width));
-          for (Value& v : d) full.push_back(std::move(v));
-          out->AddRow(std::move(full));
-        }
-      } else {
-        int out_idx = output_schema_.IndexOf(def_.name);
-        Row full = row;
-        const Value& current = row[static_cast<size_t>(out_idx)];
-        if (current.is_null()) {
-          if (def_.kind == UdfKind::kClassifier) {
-            const Value& obj_v = row[static_cast<size_t>(obj_idx)];
-            if (!obj_v.is_null()) {
-              EVA_ASSIGN_OR_RETURN(
-                  Value v,
-                  RunClassifier(ctx, def_, frame, obj_v.AsInt64(), obs_));
-              full[static_cast<size_t>(out_idx)] = std::move(v);
-            }
-          } else {
-            EVA_ASSIGN_OR_RETURN(Value v,
-                                 RunFilterUdf(ctx, def_, frame, obs_));
-            full[static_cast<size_t>(out_idx)] = std::move(v);
-          }
-        }
-        out->AddRow(std::move(full));
-      }
-      return Status();
+        pass.Flush(end);
+        return Status::OK();
+      };
+      EVA_ASSIGN_OR_RETURN(MorselPart part,
+                           EvalMorsels(ctx_, n, n_outputs, fn));
+      std::vector<ColumnBuilder> cols = GatherColumns(&in, base, part.src);
+      for (ColumnBuilder& c : part.cols) cols.push_back(std::move(c));
+      return Chunk(output_schema_, std::move(cols), part.src.size());
+    }
+    // Classifier / filter UDF: fill the NULL cells of the output column
+    // (a classifier row without an object stays NULL).
+    const size_t out_idx = static_cast<size_t>(out_idx_);
+    const ColumnBuilder& current = in.col(out_idx);
+    auto pending_at = [&](size_t r) {
+      return current.IsNull(r) &&
+             (def_.kind != UdfKind::kClassifier || !objs->IsNull(r));
     };
-    return EvalRows(ctx_, in, output_schema_, row_fn);
+    size_t pending = 0;
+    for (size_t r = 0; r < n; ++r) pending += pending_at(r);
+    if (pending == 0) return in;
+    auto fn = [&](ExecContext* ctx, size_t begin, size_t end,
+                  MorselPart* part) -> Status {
+      UdfTally tally(ctx, def_.name, obs_);
+      PassRun pass(in, out_idx, begin, part);
+      for (size_t r = begin; r < end; ++r) {
+        if (!pending_at(r)) continue;
+        const int64_t frame = ids.Int64At(r);
+        Result<Value> v =
+            def_.kind == UdfKind::kClassifier
+                ? RunClassifier(ctx, def_, frame, objs->Int64At(r), obs_,
+                                &tally)
+                : RunFilterUdf(ctx, def_, frame, obs_, &tally);
+        if (!v.ok()) return v.status();
+        pass.Take(r);
+        part->src.push_back(static_cast<uint32_t>(r));
+        part->cols[0].Append(v.value());
+      }
+      pass.Flush(end);
+      return Status::OK();
+    };
+    EVA_ASSIGN_OR_RETURN(MorselPart part, EvalMorsels(ctx_, n, 1, fn));
+    in.cols()[out_idx] = std::move(part.cols[0]);
+    return in;
   }
 
  private:
@@ -910,17 +1176,25 @@ class CondApplyOp : public Operator {
       : Operator(ctx, std::move(schema)),
         child_(std::move(child)),
         def_(std::move(def)),
-        obs_(MakeUdfCounters(ctx, def_.name)) {}
+        obs_(MakeUdfCounters(ctx, def_.name)),
+        id_idx_(output_schema_.IndexOf(kColId)),
+        obj_idx_(output_schema_.IndexOf(kColObj)),
+        out_idx_(output_schema_.IndexOf(def_.name)) {}
 
   OperatorPtr child_;
   UdfDef def_;
   UdfObsCounters obs_;
+  int id_idx_;
+  int obj_idx_;
+  int out_idx_;
 };
 
 // ---------------------------------------------------------------------------
 // Store: appends fresh UDF results to the materialized view (Fig. 4 step
 // 3). Append-only and idempotent: keys already present are skipped, so
-// rows that came from the view flow through for free.
+// rows that came from the view flow through for free. Each chunk is one
+// batch Put — column slices under one view lock — after which the
+// kMaterialize charges and access ticks follow the inserted keys in order.
 // ---------------------------------------------------------------------------
 
 class StoreOp : public Operator {
@@ -933,78 +1207,15 @@ class StoreOp : public Operator {
                                    view_name));
   }
 
-  Result<Batch> Next() override {
-    EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
-    Batch out(output_schema_);
-    if (in.empty()) return out;
-    MaterializedView* view =
-        ctx_->views->GetOrCreate(view_name_, UdfOutputSchema(def_));
-    int id_idx = in.schema().IndexOf(kColId);
-    int obj_idx = in.schema().IndexOf(kColObj);
-    if (def_.kind == UdfKind::kDetector) {
-      // Group object rows of one frame; record presence even for frames
-      // whose detector output is empty (NULL placeholder rows).
-      int64_t current_frame = -1;
-      size_t n_outputs = UdfOutputSchema(def_).num_fields();
-      size_t base_width = in.schema().num_fields() - n_outputs;
-      auto flush = [&]() {
-        if (current_frame < 0) return;
-        // The UDF's cells are the trailing n_outputs columns of each row.
-        if (PutKey(view, ViewKey{current_frame, -1}, base_width)) {
-          ctx_->Charge(CostCategory::kMaterialize,
-                       ctx_->costs.materialize_ms_per_row *
-                           static_cast<double>(pending_.size() + 1));
-          CountMaterialized(static_cast<int64_t>(pending_.size()) + 1);
-        }
-        pending_.clear();
-      };
-      pending_.clear();
-      for (const Row& row : in.rows()) {
-        int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
-        if (frame != current_frame) {
-          flush();
-          current_frame = frame;
-        }
-        // A NULL obj is the placeholder of a processed frame with zero
-        // objects: the key is recorded, the row is dropped here.
-        if (row[static_cast<size_t>(obj_idx)].is_null()) continue;
-        pending_.push_back(&row);
-      }
-      flush();
-      // Every key is stored; the rows move on (placeholders excepted).
-      for (Row& row : in.mutable_rows()) {
-        if (!row[static_cast<size_t>(obj_idx)].is_null()) {
-          out.AddRow(std::move(row));
-        }
-      }
-      return out;
+  Result<Chunk> Next() override {
+    // A chunk of NULL placeholders only stores keys and yields no rows;
+    // keep pulling so an empty chunk only ever means end of stream.
+    while (true) {
+      EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
+      if (in.empty()) return in;
+      Store(&in);
+      if (!in.empty()) return in;
     }
-    // Classifier / filter UDF: one row per key.
-    int val_idx = in.schema().IndexOf(def_.name);
-    for (Row& row : in.mutable_rows()) {
-      const Value& val = row[static_cast<size_t>(val_idx)];
-      if (!val.is_null()) {
-        int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
-        int64_t obj = -1;
-        if (def_.kind == UdfKind::kClassifier) {
-          const Value& obj_v = row[static_cast<size_t>(obj_idx)];
-          if (obj_v.is_null()) {
-            out.AddRow(std::move(row));
-            continue;
-          }
-          obj = obj_v.AsInt64();
-        }
-        pending_.assign(1, &row);
-        if (PutKey(view, ViewKey{frame, obj},
-                   static_cast<size_t>(val_idx))) {
-          ctx_->Charge(CostCategory::kMaterialize,
-                       ctx_->costs.materialize_ms_per_row);
-          CountMaterialized(1);
-        }
-      }
-      out.AddRow(std::move(row));
-    }
-    return out;
   }
 
  private:
@@ -1013,7 +1224,10 @@ class StoreOp : public Operator {
       : Operator(ctx, child->output_schema()),
         child_(std::move(child)),
         def_(std::move(def)),
-        view_name_(std::move(view_name)) {
+        view_name_(std::move(view_name)),
+        id_idx_(output_schema_.IndexOf(kColId)),
+        obj_idx_(output_schema_.IndexOf(kColObj)),
+        val_idx_(output_schema_.IndexOf(def_.name)) {
     if (ctx->obs_registry != nullptr) {
       materialized_ = ctx->obs_registry->GetCounter(
           "eva_materialized_rows_total",
@@ -1022,38 +1236,104 @@ class StoreOp : public Operator {
     }
   }
 
-  /// Stores the cells of pending_ (from column `first_col` on) under
-  /// `key`; true when the key was new. The access tick is drawn from the
-  /// store's clock only for a new key (STORE runs on the driver thread, so
-  /// no other tick is drawn in between), keeping tick sequences independent
-  /// of how many keys were already present.
-  bool PutKey(MaterializedView* view, const ViewKey& key, size_t first_col) {
-    const uint64_t tick = ctx_->views->current_tick() + 1;
-    if (!view->Put(key, pending_, first_col, tick, ctx_->query_id)) {
-      return false;
+  void Store(Chunk* in) {
+    MaterializedView* view =
+        ctx_->views->GetOrCreate(view_name_, UdfOutputSchema(def_));
+    const size_t n = in->num_rows();
+    const ColumnBuilder& ids = in->col(static_cast<size_t>(id_idx_));
+    const ColumnBuilder* objs =
+        obj_idx_ >= 0 ? &in->col(static_cast<size_t>(obj_idx_)) : nullptr;
+    keys_.clear();
+    sel_.clear();
+    size_t first_col = 0;
+    bool placeholders = false;
+    if (def_.kind == UdfKind::kDetector) {
+      // One key per run of a frame's rows; its stored rows are those with
+      // a non-null obj. A NULL obj is the placeholder of a processed frame
+      // with zero objects: the key is recorded, the row is dropped here.
+      for (size_t r = 0; r < n; ++r) {
+        const int64_t frame = ids.Int64At(r);
+        if (keys_.empty() || keys_.back().key.frame != frame) {
+          const uint32_t at = static_cast<uint32_t>(sel_.size());
+          keys_.push_back({ViewKey{frame, -1}, at, at});
+        }
+        if (objs->IsNull(r)) {
+          placeholders = true;
+          continue;
+        }
+        sel_.push_back(static_cast<uint32_t>(r));
+        keys_.back().end = static_cast<uint32_t>(sel_.size());
+      }
+      // The UDF's cells are the trailing columns of each row.
+      first_col = in->num_cols() - UdfOutputSchema(def_).num_fields();
+    } else {
+      // Classifier / filter UDF: one row per key with a value.
+      const ColumnBuilder& vals = in->col(static_cast<size_t>(val_idx_));
+      for (size_t r = 0; r < n; ++r) {
+        if (vals.IsNull(r)) continue;
+        int64_t obj = -1;
+        if (def_.kind == UdfKind::kClassifier) {
+          if (objs->IsNull(r)) continue;
+          obj = objs->Int64At(r);
+        }
+        const uint32_t at = static_cast<uint32_t>(sel_.size());
+        keys_.push_back({ViewKey{ids.Int64At(r), obj}, at, at + 1});
+        sel_.push_back(static_cast<uint32_t>(r));
+      }
+      first_col = static_cast<size_t>(val_idx_);
     }
-    ctx_->views->NextAccessTick();
-    return true;
-  }
-
-  void CountMaterialized(int64_t rows) {
-    if (ctx_->active_stats != nullptr) {
-      ctx_->active_stats->rows_materialized += rows;
+    // Ticks are drawn from the store's clock only for new keys (STORE runs
+    // on the driver thread, so no other tick is drawn in between), keeping
+    // tick sequences independent of how many keys were already present.
+    const int64_t stored = view->Put(
+        keys_, sel_, std::span<const ColumnBuilder>(in->cols()).subspan(first_col),
+        ctx_->views->current_tick() + 1, ctx_->query_id, &inserted_);
+    if (stored > 0) ctx_->views->NextAccessTicks(static_cast<uint64_t>(stored));
+    int64_t rows = 0;
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      if (inserted_[i] == 0) continue;
+      // Detector keys are charged their rows plus the presence marker.
+      const int64_t charged =
+          def_.kind == UdfKind::kDetector
+              ? static_cast<int64_t>(keys_[i].end - keys_[i].begin) + 1
+              : 1;
+      ctx_->Charge(CostCategory::kMaterialize,
+                   ctx_->costs.materialize_ms_per_row *
+                       static_cast<double>(charged));
+      rows += charged;
     }
-    if (materialized_ != nullptr) {
-      materialized_->Increment(static_cast<double>(rows));
+    if (rows > 0) {
+      if (ctx_->active_stats != nullptr) {
+        ctx_->active_stats->rows_materialized += rows;
+      }
+      if (materialized_ != nullptr) {
+        materialized_->Increment(static_cast<double>(rows));
+      }
+    }
+    if (placeholders) {
+      keep_.resize(n);
+      for (size_t r = 0; r < n; ++r) keep_[r] = objs->IsNull(r) ? 0 : 1;
+      in->Filter(keep_);
     }
   }
 
   OperatorPtr child_;
   UdfDef def_;
   std::string view_name_;
+  int id_idx_;
+  int obj_idx_;
+  int val_idx_;
   obs::Counter* materialized_ = nullptr;
-  std::vector<const Row*> pending_;  // rows of the key being stored
+  // Per-chunk scratch, reused across Next() calls.
+  std::vector<MaterializedView::KeyRows> keys_;
+  std::vector<uint32_t> sel_;
+  std::vector<uint8_t> inserted_;
+  std::vector<uint8_t> keep_;
 };
 
 // ---------------------------------------------------------------------------
-// Project
+// Project: column references move their column; any other expression is
+// evaluated row by row.
 // ---------------------------------------------------------------------------
 
 class ProjectOp : public Operator {
@@ -1062,28 +1342,45 @@ class ProjectOp : public Operator {
             std::vector<expr::ExprPtr> exprs, Schema schema)
       : Operator(ctx, std::move(schema)),
         child_(std::move(child)),
-        exprs_(std::move(exprs)) {}
-
-  Result<Batch> Next() override {
-    EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
-    Batch out(output_schema_);
-    if (in.empty()) return out;
-    for (const Row& row : in.rows()) {
-      Row projected;
-      projected.reserve(exprs_.size());
-      for (const expr::ExprPtr& e : exprs_) {
-        EVA_ASSIGN_OR_RETURN(Value v,
-                             expr::EvaluateScalar(*e, in.schema(), row));
-        projected.push_back(std::move(v));
-      }
-      out.AddRow(std::move(projected));
+        exprs_(std::move(exprs)) {
+    for (const expr::ExprPtr& e : exprs_) {
+      const bool column = e->kind() == expr::ExprKind::kColumn ||
+                          e->kind() == expr::ExprKind::kUdfCall;
+      source_.push_back(column ? child_->output_schema().IndexOf(e->name())
+                               : -1);
     }
-    return out;
+  }
+
+  Result<Chunk> Next() override {
+    EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
+    if (in.empty()) return Chunk(output_schema_);
+    const size_t n = in.num_rows();
+    std::vector<ColumnBuilder> cols(exprs_.size());
+    bool computed = false;
+    for (size_t i = 0; i < exprs_.size(); ++i) {
+      if (source_[i] >= 0) {
+        cols[i] = in.col(static_cast<size_t>(source_[i]));
+      } else {
+        computed = true;
+      }
+    }
+    // Row-major, as the interpreter ran it, so the first error is the same.
+    for (size_t r = 0; computed && r < n; ++r) {
+      const Row row = in.RowAt(r);
+      for (size_t i = 0; i < exprs_.size(); ++i) {
+        if (source_[i] >= 0) continue;
+        EVA_ASSIGN_OR_RETURN(Value v,
+                             expr::EvaluateScalar(*exprs_[i], in.schema(), row));
+        cols[i].Append(v);
+      }
+    }
+    return Chunk(output_schema_, std::move(cols), n);
   }
 
  private:
   OperatorPtr child_;
   std::vector<expr::ExprPtr> exprs_;
+  std::vector<int> source_;  // input column of a column reference, else -1
 };
 
 // ---------------------------------------------------------------------------
@@ -1098,14 +1395,14 @@ class AggregateOp : public Operator {
         child_(std::move(child)),
         group_by_(std::move(group_by)) {}
 
-  Result<Batch> Next() override {
-    if (done_) return Batch(output_schema_);
+  Result<Chunk> Next() override {
+    if (done_) return Chunk(output_schema_);
     done_ = true;
     std::vector<Row> group_rows;
     std::vector<int64_t> counts;
     std::map<std::string, size_t> index;
     while (true) {
-      EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
+      EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
       if (in.empty()) break;
       std::vector<int> idxs;
       for (const std::string& col : group_by_) {
@@ -1113,14 +1410,14 @@ class AggregateOp : public Operator {
         if (i < 0) return Status::BindError("unknown group column: " + col);
         idxs.push_back(i);
       }
-      for (const Row& row : in.rows()) {
+      for (size_t r = 0; r < in.num_rows(); ++r) {
         std::string key;
         Row group;
         for (int i : idxs) {
-          const Value& v = row[static_cast<size_t>(i)];
+          Value v = in.col(static_cast<size_t>(i)).At(r);
           key += v.ToString();
           key += '\x1f';
-          group.push_back(v);
+          group.push_back(std::move(v));
         }
         auto [it, inserted] = index.emplace(key, group_rows.size());
         if (inserted) {
@@ -1130,11 +1427,11 @@ class AggregateOp : public Operator {
         ++counts[it->second];
       }
     }
-    Batch out(output_schema_);
+    Chunk out(output_schema_);
     for (size_t i = 0; i < group_rows.size(); ++i) {
       Row row = group_rows[i];
       row.push_back(Value(counts[i]));
-      out.AddRow(std::move(row));
+      out.AppendRow(row);
     }
     return out;
   }
@@ -1156,17 +1453,16 @@ class LimitOp : public Operator {
         child_(std::move(child)),
         remaining_(limit) {}
 
-  Result<Batch> Next() override {
-    Batch out(output_schema_);
-    if (remaining_ <= 0) return out;
-    EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
-    if (in.empty()) return out;
-    for (Row& row : in.mutable_rows()) {
-      if (remaining_ <= 0) break;
-      out.AddRow(std::move(row));
-      --remaining_;
+  Result<Chunk> Next() override {
+    if (remaining_ <= 0) return Chunk(output_schema_);
+    EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
+    if (static_cast<int64_t>(in.num_rows()) > remaining_) {
+      std::vector<uint8_t> keep(in.num_rows(), 0);
+      std::fill_n(keep.begin(), remaining_, 1);
+      in.Filter(keep);
     }
-    return out;
+    remaining_ -= static_cast<int64_t>(in.num_rows());
+    return in;
   }
 
  private:
@@ -1196,9 +1492,9 @@ class StatsOp : public Operator {
     }
   }
 
-  Result<Batch> Next() override {
+  Result<Chunk> Next() override {
     if (stats_ == nullptr) {
-      EVA_ASSIGN_OR_RETURN(Batch out, inner_->Next());
+      EVA_ASSIGN_OR_RETURN(Chunk out, inner_->Next());
       if (rows_out_ != nullptr) {
         rows_out_->Increment(static_cast<double>(out.num_rows()));
       }
@@ -1208,7 +1504,7 @@ class StatsOp : public Operator {
     ctx_->active_stats = stats_;
     double sim0 = ctx_->clock->TotalMs();
     auto wall0 = std::chrono::steady_clock::now();
-    Result<Batch> r = inner_->Next();
+    Result<Chunk> r = inner_->Next();
     stats_->sim_ms += ctx_->clock->TotalMs() - sim0;
     stats_->wall_us +=
         std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
@@ -1347,11 +1643,9 @@ Result<Batch> ExecutePlan(const plan::PlanNodePtr& plan, ExecContext* ctx) {
   EVA_ASSIGN_OR_RETURN(OperatorPtr root, BuildOperator(plan, ctx));
   Batch result(root->output_schema());
   while (true) {
-    EVA_ASSIGN_OR_RETURN(Batch batch, root->Next());
-    if (batch.empty()) break;
-    for (Row& row : batch.mutable_rows()) {
-      result.AddRow(std::move(row));
-    }
+    EVA_ASSIGN_OR_RETURN(Chunk chunk, root->Next());
+    if (chunk.empty()) break;
+    chunk.AppendTo(&result);
   }
   ctx->metrics->rows_out += static_cast<int64_t>(result.num_rows());
   return result;

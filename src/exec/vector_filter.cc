@@ -31,6 +31,21 @@ bool CmpKeep(CompareOp op, int c) {
   return false;
 }
 
+int RankOf(DataType t) {
+  switch (t) {
+    case DataType::kNull:
+      return 0;
+    case DataType::kBool:
+      return 1;
+    case DataType::kInt64:
+    case DataType::kDouble:
+      return 2;
+    case DataType::kString:
+      return 3;
+  }
+  return 4;
+}
+
 bool IsColumnish(const Expr& e) {
   // After the optimizer's rewrite a UDF call reads the output column named
   // after the UDF, so both kinds compile to a column operand.
@@ -80,7 +95,7 @@ int FilterProgram::CompileNode(const Expr& e, const Schema& schema) {
         if (ins.col_a < 0) return -1;
       } else if (l.kind() == ExprKind::kLiteral && IsColumnish(r)) {
         ins.code = OpCode::kCmpColLit;
-        ins.cmp = expr::MirrorOp(e.op());
+        ins.lit_left = true;
         ins.col_a = schema.IndexOf(r.name());
         ins.lit = l.value();
         if (ins.col_a < 0) return -1;
@@ -134,56 +149,150 @@ std::optional<FilterProgram> FilterProgram::Compile(const Expr& e,
   return p;
 }
 
-Status FilterProgram::Execute(const Batch& batch,
+namespace {
+
+int Compare3(int64_t a, int64_t b) { return a == b ? 0 : (a < b ? -1 : 1); }
+// Value::Compare's numeric rule: NaN is unordered and compares as greater.
+int Compare3(double a, double b) { return a == b ? 0 : (a < b ? -1 : 1); }
+
+// dst[r] = the cell is non-null && cmp(cell, lit) — or cmp(lit, cell)
+// when `lit_left` — exactly Value::Compare per cell, evaluated on the
+// typed lane. `lit` is non-null.
+void CompareColumnLiteral(const ColumnBuilder& col, CompareOp op,
+                          const Value& lit, bool lit_left, size_t n,
+                          uint8_t* dst) {
+  if (col.all_null()) return;  // dst stays all-false
+  const storage::ColumnVec& lane = col.lane();
+  auto keep = [op, lit_left](auto cell, auto b) {
+    return CmpKeep(op, lit_left ? Compare3(b, cell) : Compare3(cell, b));
+  };
+  // Cells of a rank other than the literal's compare as a constant.
+  auto by_rank = [&](int cell_rank) {
+    const int lit_rank = RankOf(lit.type());
+    const bool less = lit_left ? lit_rank < cell_rank : cell_rank < lit_rank;
+    const uint8_t v = CmpKeep(op, less ? -1 : 1) ? 1 : 0;
+    for (size_t r = 0; r < n; ++r) dst[r] = v & !lane.NullAt(r);
+  };
+  switch (lane.enc_) {
+    case storage::ColumnVec::Enc::kInt64:
+      if (lit.type() == DataType::kInt64) {
+        const int64_t b = lit.AsInt64();
+        for (size_t r = 0; r < n; ++r) {
+          dst[r] = !lane.NullAt(r) && keep(lane.i64_[r], b);
+        }
+      } else if (lit.type() == DataType::kDouble) {
+        const double b = lit.AsDouble();
+        for (size_t r = 0; r < n; ++r) {
+          dst[r] = !lane.NullAt(r) &&
+                   keep(static_cast<double>(lane.i64_[r]), b);
+        }
+      } else {
+        by_rank(2);
+      }
+      return;
+    case storage::ColumnVec::Enc::kDouble:
+      if (lit.is_numeric()) {
+        const double b = lit.AsDouble();
+        for (size_t r = 0; r < n; ++r) {
+          dst[r] = !lane.NullAt(r) && keep(lane.f64_[r], b);
+        }
+      } else {
+        by_rank(2);
+      }
+      return;
+    case storage::ColumnVec::Enc::kBool:
+      if (lit.type() == DataType::kBool) {
+        const int64_t b = lit.AsBool() ? 1 : 0;
+        for (size_t r = 0; r < n; ++r) {
+          dst[r] = !lane.NullAt(r) && keep(int64_t{lane.b8_[r]}, b);
+        }
+      } else {
+        by_rank(1);
+      }
+      return;
+    case storage::ColumnVec::Enc::kDict: {
+      // One verdict per dictionary entry, then a lookup per cell.
+      std::vector<uint8_t> verdict(lane.dict_.size());
+      for (size_t k = 0; k < verdict.size(); ++k) {
+        const Value cell(lane.dict_[k]);
+        verdict[k] = CmpKeep(op, lit_left ? lit.Compare(cell)
+                                          : cell.Compare(lit))
+                         ? 1
+                         : 0;
+      }
+      for (size_t r = 0; r < n; ++r) {
+        dst[r] = !lane.NullAt(r) &&
+                 verdict[static_cast<size_t>(lane.codes_[r])];
+      }
+      return;
+    }
+    case storage::ColumnVec::Enc::kValue:
+      for (size_t r = 0; r < n; ++r) {
+        const Value& v = lane.raw_[r];
+        dst[r] = !v.is_null() &&
+                 CmpKeep(op, lit_left ? lit.Compare(v) : v.Compare(lit));
+      }
+      return;
+  }
+}
+
+// dst[r] = the bool cell (NULL -> 0); a non-null non-bool cell is an error.
+Status BoolColumn(const ColumnBuilder& col, size_t n, uint8_t* dst) {
+  if (col.all_null()) return Status::OK();  // dst stays all-false
+  const storage::ColumnVec& lane = col.lane();
+  for (size_t r = 0; r < n; ++r) {
+    if (lane.enc_ == storage::ColumnVec::Enc::kBool) {
+      dst[r] = !lane.NullAt(r) && lane.b8_[r] != 0;
+      continue;
+    }
+    const bool null = lane.enc_ == storage::ColumnVec::Enc::kValue
+                          ? lane.raw_[r].is_null()
+                          : lane.NullAt(r);
+    if (null) {
+      dst[r] = 0;
+    } else if (lane.enc_ == storage::ColumnVec::Enc::kValue &&
+               lane.raw_[r].type() == DataType::kBool) {
+      dst[r] = lane.raw_[r].AsBool();
+    } else {
+      // The scalar interpreter may or may not hit this cell (AND/OR
+      // short-circuit); the caller reruns the chunk scalar to find out.
+      return Status::InvalidArgument("non-boolean cell in logical position");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status FilterProgram::Execute(const Chunk& chunk,
                               std::vector<uint8_t>* keep) const {
-  const size_t n = batch.num_rows();
+  const size_t n = chunk.num_rows();
   keep->assign(n, 0);
   if (n == 0 || instrs_.empty()) return Status::OK();
   // One mask per register, flat buffer.
   std::vector<uint8_t> regs(static_cast<size_t>(num_regs_) * n, 0);
   auto reg = [&](int r) { return regs.data() + static_cast<size_t>(r) * n; };
-  const std::vector<Row>& rows = batch.rows();
   for (const Instr& ins : instrs_) {
     uint8_t* dst = reg(ins.dst);
     switch (ins.code) {
-      case OpCode::kCmpColLit: {
+      case OpCode::kCmpColLit:
         if (ins.lit.is_null()) break;  // NULL comparand: all false
-        const size_t col = static_cast<size_t>(ins.col_a);
-        for (size_t r = 0; r < n; ++r) {
-          const Value& v = rows[r][col];
-          dst[r] = !v.is_null() && CmpKeep(ins.cmp, v.Compare(ins.lit));
-        }
+        CompareColumnLiteral(chunk.col(static_cast<size_t>(ins.col_a)),
+                             ins.cmp, ins.lit, ins.lit_left, n, dst);
         break;
-      }
       case OpCode::kCmpColCol: {
-        const size_t ca = static_cast<size_t>(ins.col_a);
-        const size_t cb = static_cast<size_t>(ins.col_b);
+        const ColumnBuilder& ca = chunk.col(static_cast<size_t>(ins.col_a));
+        const ColumnBuilder& cb = chunk.col(static_cast<size_t>(ins.col_b));
         for (size_t r = 0; r < n; ++r) {
-          const Value& a = rows[r][ca];
-          const Value& b = rows[r][cb];
-          dst[r] = !a.is_null() && !b.is_null() &&
-                   CmpKeep(ins.cmp, a.Compare(b));
+          if (ca.IsNull(r) || cb.IsNull(r)) continue;
+          dst[r] = CmpKeep(ins.cmp, ca.At(r).Compare(cb.At(r)));
         }
         break;
       }
-      case OpCode::kBoolCol: {
-        const size_t col = static_cast<size_t>(ins.col_a);
-        for (size_t r = 0; r < n; ++r) {
-          const Value& v = rows[r][col];
-          if (v.is_null()) {
-            dst[r] = 0;
-          } else if (v.type() == DataType::kBool) {
-            dst[r] = v.AsBool();
-          } else {
-            // The scalar interpreter may or may not hit this cell (AND/OR
-            // short-circuit); the caller reruns the batch scalar to find
-            // out.
-            return Status::InvalidArgument(
-                "non-boolean cell in logical position");
-          }
-        }
+      case OpCode::kBoolCol:
+        EVA_RETURN_IF_ERROR(
+            BoolColumn(chunk.col(static_cast<size_t>(ins.col_a)), n, dst));
         break;
-      }
       case OpCode::kConst:
         std::memset(dst, ins.bval ? 1 : 0, n);
         break;
@@ -218,21 +327,6 @@ Status FilterProgram::Execute(const Batch& batch,
 namespace {
 
 constexpr double kDoubleExactLimit = 4503599627370496.0;  // 2^52
-
-int RankOf(DataType t) {
-  switch (t) {
-    case DataType::kNull:
-      return 0;
-    case DataType::kBool:
-      return 1;
-    case DataType::kInt64:
-    case DataType::kDouble:
-      return 2;
-    case DataType::kString:
-      return 3;
-  }
-  return 4;
-}
 
 // Resolves the zone summary of a referenced column. `synth` is storage for
 // the synthesized "id"/"obj" zones (derived from the key arrays).

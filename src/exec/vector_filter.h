@@ -5,15 +5,17 @@
 #include <optional>
 #include <vector>
 
-#include "common/row.h"
 #include "common/status.h"
+#include "exec/chunk.h"
 #include "expr/expr.h"
 #include "storage/column_segment.h"
 
 namespace eva::exec {
 
 /// A filter predicate compiled once per query into a flat register program
-/// evaluated column-at-a-time over whole batches with uint8 masks. The
+/// evaluated column-at-a-time over whole chunks with uint8 masks, reading
+/// the typed lanes directly (a string comparison is decided once per
+/// dictionary entry). The
 /// compiled form replaces the per-row recursive Expr interpreter on the
 /// scan→filter and view-join→filter hot paths; semantics are exactly
 /// EvaluateBool's (NULL comparisons false, EvaluateBool(NULL) false,
@@ -35,15 +37,16 @@ class FilterProgram {
   static std::optional<FilterProgram> Compile(const expr::Expr& e,
                                               const Schema& schema);
 
-  /// Evaluates over all rows of `batch`; keep->at(r) is 1 when row r
-  /// passes. `keep` is resized to the batch row count.
-  Status Execute(const Batch& batch, std::vector<uint8_t>* keep) const;
+  /// Evaluates over all rows of `chunk`; keep->at(r) is 1 when row r
+  /// passes. `keep` is resized to the chunk row count.
+  Status Execute(const Chunk& chunk, std::vector<uint8_t>* keep) const;
 
   size_t num_instructions() const { return instrs_.size(); }
 
  private:
   enum class OpCode : uint8_t {
-    kCmpColLit = 0,  // dst = !null(col_a) && cmp(col_a, lit)
+    kCmpColLit = 0,  // dst = !null(col_a) && cmp(col_a, lit), or
+                     // cmp(lit, col_a) when lit_left
     kCmpColCol,      // dst = !null(a) && !null(b) && cmp(a, b)
     kBoolCol,        // dst = bool cell (null -> 0; non-bool -> error)
     kConst,          // dst = bval
@@ -55,12 +58,15 @@ class FilterProgram {
   struct Instr {
     OpCode code;
     expr::CompareOp cmp = expr::CompareOp::kEq;
-    int col_a = -1;  // batch column operands
+    int col_a = -1;  // chunk column operands
     int col_b = -1;
     int src_a = -1;  // mask register operands
     int src_b = -1;
     int dst = 0;
     Value lit;
+    // The literal is the left operand. Not folded into a mirrored op:
+    // Value::Compare orders NaN above everything from either side.
+    bool lit_left = false;
     bool bval = false;
   };
 

@@ -13,10 +13,14 @@ void RenderNode(const plan::PlanNode& node, const PlanStatsMap& stats,
   auto it = stats.find(&node);
   if (it != stats.end()) {
     const OperatorStats& s = it->second;
+    // Both clocks are cumulative over the children; self = node - children.
     double child_sim = 0;
+    double child_wall_us = 0;
     for (const plan::PlanNodePtr& child : node.children()) {
       auto cit = stats.find(child.get());
-      if (cit != stats.end()) child_sim += cit->second.sim_ms;
+      if (cit == stats.end()) continue;
+      child_sim += cit->second.sim_ms;
+      child_wall_us += cit->second.wall_us;
     }
     char buf[160];
     std::snprintf(buf, sizeof(buf),
@@ -25,6 +29,10 @@ void RenderNode(const plan::PlanNode& node, const PlanStatsMap& stats,
                   static_cast<long long>(s.batches),
                   static_cast<double>(s.sim_ms),
                   static_cast<double>(s.sim_ms) - child_sim);
+    *out += buf;
+    std::snprintf(buf, sizeof(buf), " wall=%.3fms self_wall=%.3fms",
+                  static_cast<double>(s.wall_us) / 1000.0,
+                  (static_cast<double>(s.wall_us) - child_wall_us) / 1000.0);
     *out += buf;
     if (s.view_hits > 0 || s.view_misses > 0) {
       std::snprintf(buf, sizeof(buf), " view_hits=%lld view_misses=%lld",

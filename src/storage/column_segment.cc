@@ -175,10 +175,11 @@ size_t ColumnarSegment::FindKey(int64_t frame, int64_t obj,
                                 size_t* hint) const {
   const size_t n = num_keys();
   size_t lo = hint != nullptr ? *hint : 0;
-  // A probe behind the cursor (unsorted batch) restarts from the front.
+  // A probe at or behind the cursor (an unsorted or repeated key)
+  // restarts from the front.
   if (lo > n) lo = n;
   if (lo > 0 && (key_frame(lo - 1) > frame ||
-                 (key_frame(lo - 1) == frame && key_obj(lo - 1) > obj))) {
+                 (key_frame(lo - 1) == frame && key_obj(lo - 1) >= obj))) {
     lo = 0;
   }
   // Dense ascending batches land exactly on the cursor: O(1) per key.
@@ -386,60 +387,80 @@ void CompressColumn(ColumnVec* col) {
   }
 }
 
-void ZoneMapEntry::Observe(const Value& v) {
-  if (v.is_null()) {
-    has_nulls = true;
-    return;
-  }
-  if (!valid) return;
-  const DataType t = v.type();
-  const bool first = all_null;
-  if (first) {
+ZoneMapEntry::Fold ZoneMapEntry::Admit(DataType t) {
+  if (!valid) return Fold::kSkip;
+  if (all_null) {
     all_null = false;
     type = t;
-  } else if (t != type) {
+    return Fold::kFirst;
+  }
+  if (t != type) {
     valid = false;  // mixed types: unbounded from here on
+    return Fold::kSkip;
+  }
+  return Fold::kNext;
+}
+
+void ZoneMapEntry::Widen(double d, Fold fold) {
+  if (fold == Fold::kFirst) {
+    num_min = num_max = d;
+  } else {
+    num_min = std::min(num_min, d);
+    num_max = std::max(num_max, d);
+  }
+}
+
+void ZoneMapEntry::ObserveInt64(int64_t v) {
+  const Fold fold = Admit(DataType::kInt64);
+  if (fold == Fold::kSkip) return;
+  if (std::llabs(v) > static_cast<int64_t>(kDoubleExactLimit)) {
+    valid = false;
     return;
   }
-  auto update = [&](double d) {
-    if (first) {
-      num_min = num_max = d;
-    } else {
-      num_min = std::min(num_min, d);
-      num_max = std::max(num_max, d);
-    }
-  };
-  switch (t) {
-    case DataType::kInt64: {
-      int64_t i = v.AsInt64();
-      if (std::llabs(i) > static_cast<int64_t>(kDoubleExactLimit)) {
-        valid = false;
-        return;
-      }
-      update(static_cast<double>(i));
+  Widen(static_cast<double>(v), fold);
+}
+
+void ZoneMapEntry::ObserveDouble(double v) {
+  const Fold fold = Admit(DataType::kDouble);
+  if (fold == Fold::kSkip) return;
+  if (std::isnan(v)) {
+    valid = false;
+    return;
+  }
+  Widen(v, fold);
+}
+
+void ZoneMapEntry::ObserveBool(bool v) {
+  const Fold fold = Admit(DataType::kBool);
+  if (fold != Fold::kSkip) Widen(v ? 1.0 : 0.0, fold);
+}
+
+void ZoneMapEntry::ObserveString(const std::string& v) {
+  if (Admit(DataType::kString) != Fold::kSkip) strings.insert(v);
+}
+
+void ZoneMapEntry::Observe(const Value& v) {
+  switch (v.type()) {
+    case DataType::kNull:
+      ObserveNull();
       break;
-    }
+    case DataType::kInt64:
+      ObserveInt64(v.AsInt64());
+      break;
     case DataType::kDouble:
-      if (std::isnan(v.AsDouble())) {
-        valid = false;
-        return;
-      }
-      update(v.AsDouble());
+      ObserveDouble(v.AsDouble());
       break;
     case DataType::kBool:
-      update(v.AsBool() ? 1.0 : 0.0);
+      ObserveBool(v.AsBool());
       break;
     case DataType::kString:
-      strings.insert(v.AsString());
-      break;
-    case DataType::kNull:
+      ObserveString(v.AsString());
       break;
   }
 }
 
 void ColumnBuilder::StartTyped(DataType t) {
-  // The all-null prefix so far (raw NULL Values) becomes zero cells under
-  // set null bits.
+  // The all-null prefix so far becomes zero cells under set null bits.
   const size_t n = n_;
   lane_ = ColumnVec();
   lane_.n_ = n;
@@ -471,7 +492,7 @@ void ColumnBuilder::StartTyped(DataType t) {
 std::vector<Value> ColumnBuilder::RawCells() const {
   std::vector<Value> raw;
   raw.reserve(n_);
-  for (size_t i = 0; i < n_; ++i) raw.push_back(lane_.At(i));
+  for (size_t i = 0; i < n_; ++i) raw.push_back(At(i));
   return raw;
 }
 
@@ -482,59 +503,213 @@ void ColumnBuilder::MakeRaw() {
   dict_index_.clear();
 }
 
+int32_t ColumnBuilder::CodeOf(const std::string& v) {
+  if (dict_index_.size() != lane_.dict_.size()) {
+    dict_index_.clear();
+    for (size_t k = 0; k < lane_.dict_.size(); ++k) {
+      dict_index_.emplace(lane_.dict_[k], static_cast<int32_t>(k));
+    }
+  }
+  auto it = dict_index_.find(v);
+  if (it == dict_index_.end()) {
+    it = dict_index_.emplace(v, static_cast<int32_t>(lane_.dict_.size()))
+             .first;
+    lane_.dict_.push_back(v);
+  }
+  return it->second;
+}
+
 void ColumnBuilder::Append(const Value& v) {
   const bool null = v.is_null();
-  if (!null && type_ == DataType::kNull) {
+  if (null) return AppendNull();
+  if (type_ == DataType::kNull) {
     StartTyped(v.type());
-  } else if (!null && v.type() != type_ &&
-             lane_.enc_ != ColumnVec::Enc::kValue) {
+  } else if (v.type() != type_ && lane_.enc_ != ColumnVec::Enc::kValue) {
     MakeRaw();  // mixed types: raw Values from here on
   }
-  const size_t i = n_++;
   if (lane_.enc_ == ColumnVec::Enc::kValue) {
-    lane_.raw_.push_back(v);  // all-null so far, or mixed
+    ++n_;
+    lane_.raw_.push_back(v);
     return;
   }
-  lane_.n_ = n_;
-  if (null || !lane_.null_bits_.empty()) {
-    lane_.null_bits_.resize((n_ + 63) / 64, 0);
-  }
-  if (null) SetNullBit(&lane_.null_bits_, i);
   switch (lane_.enc_) {
     case ColumnVec::Enc::kInt64:
-      lane_.i64_.push_back(null ? 0 : v.AsInt64());
-      break;
+      return AppendInt64(v.AsInt64());
     case ColumnVec::Enc::kDouble:
-      lane_.f64_.push_back(null ? 0 : v.AsDouble());
-      break;
+      return AppendDouble(v.AsDouble());
     case ColumnVec::Enc::kBool:
-      lane_.b8_.push_back(!null && v.AsBool() ? 1 : 0);
-      break;
-    case ColumnVec::Enc::kDict: {
-      int32_t code = 0;
-      if (!null) {
-        auto it = dict_index_.find(v.AsString());
-        if (it == dict_index_.end()) {
-          it = dict_index_
-                   .emplace(v.AsString(),
-                            static_cast<int32_t>(lane_.dict_.size()))
-                   .first;
-          lane_.dict_.push_back(v.AsString());
-        }
-        code = it->second;
-      }
-      lane_.codes_.push_back(code);
-      break;
-    }
+      return AppendBool(v.AsBool());
+    case ColumnVec::Enc::kDict:
+      return AppendString(v.AsString());
     case ColumnVec::Enc::kValue:
       break;
   }
 }
 
+void ColumnBuilder::AppendRange(const ColumnVec& src, size_t begin,
+                                size_t count, std::vector<int32_t>* remap) {
+  const size_t end = begin + count;
+  if (src.enc_ == ColumnVec::Enc::kValue) {
+    for (size_t i = begin; i < end; ++i) Append(src.raw_[i]);
+    return;
+  }
+  // Whole plain lanes without nulls onto a lane of the same type: bulk.
+  if (src.codec_ == ColumnVec::Codec::kPlain && src.null_bits_.empty() &&
+      src.enc_ == lane_.enc_ && src.enc_ != ColumnVec::Enc::kDict) {
+    n_ += count;
+    lane_.n_ = n_;
+    if (!lane_.null_bits_.empty()) {
+      lane_.null_bits_.resize((n_ + 63) / 64, 0);
+    }
+    auto bulk = [begin, end](auto& to, const auto& from) {
+      to.insert(to.end(), from.begin() + static_cast<long>(begin),
+                from.begin() + static_cast<long>(end));
+    };
+    switch (src.enc_) {
+      case ColumnVec::Enc::kInt64:
+        return bulk(lane_.i64_, src.i64_);
+      case ColumnVec::Enc::kDouble:
+        return bulk(lane_.f64_, src.f64_);
+      default:
+        return bulk(lane_.b8_, src.b8_);
+    }
+  }
+  for (size_t i = begin; i < end; ++i) {
+    if (src.NullAt(i)) {
+      AppendNull();
+      continue;
+    }
+    switch (src.enc_) {
+      case ColumnVec::Enc::kInt64:
+        AppendInt64(src.Int64At(i));
+        break;
+      case ColumnVec::Enc::kDouble:
+        AppendDouble(src.DoubleAt(i));
+        break;
+      case ColumnVec::Enc::kBool:
+        AppendBool(src.BoolAt(i));
+        break;
+      case ColumnVec::Enc::kDict: {
+        const int32_t code = src.CodeAt(i);
+        const std::string& str = src.dict_[static_cast<size_t>(code)];
+        if (remap == nullptr || lane_.enc_ != ColumnVec::Enc::kDict) {
+          AppendString(str);
+          break;
+        }
+        if (remap->size() < src.dict_.size()) {
+          remap->resize(src.dict_.size(), -1);
+        }
+        int32_t& own = (*remap)[static_cast<size_t>(code)];
+        if (own < 0) own = CodeOf(str);
+        GrowTyped();
+        lane_.codes_.push_back(own);
+        break;
+      }
+      case ColumnVec::Enc::kValue:
+        break;
+    }
+  }
+}
+
+ColumnBuilder ColumnBuilder::Gather(const ColumnBuilder& src,
+                                    std::span<const uint32_t> rows) {
+  ColumnBuilder out;
+  const size_t n = rows.size();
+  out.n_ = n;
+  out.type_ = src.type_;
+  if (src.all_null()) return out;
+  const ColumnVec& from = src.lane_;
+  ColumnVec& to = out.lane_;
+  to.enc_ = from.enc_;
+  auto gather = [&rows, n](auto& dst, const auto& lane) {
+    dst.resize(n);
+    for (size_t k = 0; k < n; ++k) dst[k] = lane[rows[k]];
+  };
+  switch (from.enc_) {
+    case ColumnVec::Enc::kInt64:
+      gather(to.i64_, from.i64_);
+      break;
+    case ColumnVec::Enc::kDouble:
+      gather(to.f64_, from.f64_);
+      break;
+    case ColumnVec::Enc::kBool:
+      gather(to.b8_, from.b8_);
+      break;
+    case ColumnVec::Enc::kDict:
+      to.dict_ = from.dict_;
+      gather(to.codes_, from.codes_);
+      break;
+    case ColumnVec::Enc::kValue:
+      gather(to.raw_, from.raw_);
+      return out;
+  }
+  to.n_ = n;
+  if (!from.null_bits_.empty()) {
+    to.null_bits_.assign((n + 63) / 64, 0);
+    for (size_t k = 0; k < n; ++k) {
+      if (from.NullAt(rows[k])) SetNullBit(&to.null_bits_, k);
+    }
+  }
+  return out;
+}
+
+void ColumnBuilder::Filter(const uint8_t* keep) {
+  const size_t n = n_;
+  size_t w = 0;
+  // Branch-free compaction of a plain lane: cell r moves down to w <= r,
+  // whose old value was already read.
+  auto compact = [&](auto& lane) {
+    auto* d = lane.data();
+    w = 0;
+    for (size_t r = 0; r < n; ++r) {
+      d[w] = d[r];
+      w += keep[r] != 0;
+    }
+    lane.resize(w);
+  };
+  switch (all_null() ? ColumnVec::Enc::kValue : lane_.enc_) {
+    case ColumnVec::Enc::kInt64:
+      compact(lane_.i64_);
+      break;
+    case ColumnVec::Enc::kDouble:
+      compact(lane_.f64_);
+      break;
+    case ColumnVec::Enc::kBool:
+      compact(lane_.b8_);
+      break;
+    case ColumnVec::Enc::kDict:
+      compact(lane_.codes_);
+      break;
+    case ColumnVec::Enc::kValue:
+      for (size_t r = 0; r < n; ++r) {
+        if (keep[r] == 0) continue;
+        if (!all_null() && w != r) lane_.raw_[w] = std::move(lane_.raw_[r]);
+        ++w;
+      }
+      if (!all_null()) lane_.raw_.resize(w);
+      n_ = w;
+      return;
+  }
+  if (!lane_.null_bits_.empty()) {
+    std::vector<uint64_t> bits((w + 63) / 64 + 1, 0);
+    size_t j = 0;
+    for (size_t r = 0; r < n; ++r) {
+      const uint64_t take = keep[r] != 0 ? 1 : 0;
+      bits[j >> 6] |= (take & static_cast<uint64_t>(lane_.NullAt(r)))
+                      << (j & 63);
+      j += take;
+    }
+    bits.resize((w + 63) / 64);
+    lane_.null_bits_ = std::move(bits);
+  }
+  n_ = w;
+  lane_.n_ = w;
+}
+
 ColumnVec ColumnBuilder::Finish() const {
-  if (lane_.enc_ == ColumnVec::Enc::kDict &&
-      lane_.dict_.size() > kMaxDictCardinality) {
-    ColumnVec raw;  // dictionary overflow: raw storage
+  if (all_null() || (lane_.enc_ == ColumnVec::Enc::kDict &&
+                     lane_.dict_.size() > kMaxDictCardinality)) {
+    ColumnVec raw;  // all-null or dictionary overflow: raw storage
     raw.raw_ = RawCells();
     return raw;
   }
@@ -548,9 +723,51 @@ size_t ColumnBuilder::HeapBytes() const {
   return bytes;
 }
 
+namespace {
+
+// Appends the cells of `src` at `rows` to `dst`, folding each into `zone`.
+void AppendCells(const ColumnBuilder& src, std::span<const uint32_t> rows,
+                 ColumnBuilder* dst, ZoneMapEntry* zone) {
+  const ColumnVec& lane = src.lane();
+  for (uint32_t r : rows) {
+    if (src.IsNull(r)) {
+      dst->AppendNull();
+      zone->ObserveNull();
+      continue;
+    }
+    switch (lane.enc_) {
+      case ColumnVec::Enc::kInt64:
+        dst->AppendInt64(lane.i64_[r]);
+        zone->ObserveInt64(lane.i64_[r]);
+        break;
+      case ColumnVec::Enc::kDouble:
+        dst->AppendDouble(lane.f64_[r]);
+        zone->ObserveDouble(lane.f64_[r]);
+        break;
+      case ColumnVec::Enc::kBool:
+        dst->AppendBool(lane.b8_[r] != 0);
+        zone->ObserveBool(lane.b8_[r] != 0);
+        break;
+      case ColumnVec::Enc::kDict: {
+        const std::string& v = lane.dict_[static_cast<size_t>(lane.codes_[r])];
+        dst->AppendString(v);
+        zone->ObserveString(v);
+        break;
+      }
+      case ColumnVec::Enc::kValue:
+        dst->Append(lane.raw_[r]);
+        zone->Observe(lane.raw_[r]);
+        break;
+    }
+  }
+}
+
+}  // namespace
+
 void SegmentBuilder::Append(const ViewKey& key,
-                            std::span<const Row* const> rows,
-                            size_t first_col, SegmentZone* zone) {
+                            std::span<const ColumnBuilder> src,
+                            std::span<const uint32_t> rows,
+                            SegmentZone* zone) {
   if ((keys_.size() + 1) * 2 > slots_.size()) {
     // Keep the flat index at most half full.
     std::vector<uint32_t> slots(std::max<size_t>(16, slots_.size() * 2), 0);
@@ -569,13 +786,15 @@ void SegmentBuilder::Append(const ViewKey& key,
   keys_.push_back(key);
   zone->ObserveKey(key);
 
-  static const Value kNullCell = Value::Null();
-  for (const Row* row : rows) {
-    for (size_t c = 0; c < cols_.size(); ++c) {
-      const size_t at = first_col + c;
-      const Value& cell = at < row->size() ? (*row)[at] : kNullCell;
-      cols_[c].Append(cell);
-      zone->cols[c].Observe(cell);
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    ZoneMapEntry* z = &zone->cols[c];
+    if (c < src.size()) {
+      AppendCells(src[c], rows, &cols_[c], z);
+      continue;
+    }
+    for (size_t k = 0; k < rows.size(); ++k) {
+      cols_[c].AppendNull();
+      z->ObserveNull();
     }
   }
   row_begin_.push_back(row_begin_.back() +
@@ -649,9 +868,8 @@ std::shared_ptr<const ColumnarSegment> SealSegment(
   auto append = [&cols, &row_begin](const auto& from, int32_t begin,
                                     int32_t end) {
     for (size_t c = 0; c < cols.size(); ++c) {
-      for (int32_t r = begin; r < end; ++r) {
-        cols[c].Append(from[c].At(static_cast<size_t>(r)));
-      }
+      cols[c].AppendRange(from[c], static_cast<size_t>(begin),
+                          static_cast<size_t>(end - begin));
     }
     row_begin.push_back(row_begin.back() + (end - begin));
   };

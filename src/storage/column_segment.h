@@ -76,60 +76,76 @@ class ColumnVec {
     if (NullAt(i)) return Value::Null();
     switch (enc_) {
       case Enc::kInt64:
-        switch (codec_) {
-          case Codec::kFor:
-            return Value(for_base_ + static_cast<int64_t>(packed_.Get(i)));
-          case Codec::kRle:
-            return Value(i64_[RunOf(i)]);
-          case Codec::kDictNum:
-            return Value(i64_[packed_.Get(i)]);
-          default:
-            return Value(i64_[i]);
-        }
+        return Value(Int64At(i));
       case Enc::kDouble:
-        switch (codec_) {
-          case Codec::kRle:
-            return Value(f64_[RunOf(i)]);
-          case Codec::kDictNum:
-            return Value(f64_[packed_.Get(i)]);
-          case Codec::kExpPack: {
-            // Lane value = (prefix code << 52) | 52-bit mantissa; i64_
-            // dictionaries the distinct sign/exponent prefixes. Bit-level
-            // reconstruction, so NaN payloads and -0.0 survive.
-            uint64_t v = packed_.Get(i);
-            uint64_t bits =
-                (static_cast<uint64_t>(i64_[static_cast<size_t>(v >> 52)])
-                 << 52) |
-                (v & ((uint64_t{1} << 52) - 1));
-            double d;
-            std::memcpy(&d, &bits, 8);
-            return Value(d);
-          }
-          default:
-            return Value(f64_[i]);
-        }
+        return Value(DoubleAt(i));
       case Enc::kBool:
-        switch (codec_) {
-          case Codec::kBitPack:
-            return Value(packed_.Get(i) != 0);
-          case Codec::kRle:
-            return Value(b8_[RunOf(i)] != 0);
-          default:
-            return Value(b8_[i] != 0);
-        }
+        return Value(BoolAt(i));
       case Enc::kDict:
-        switch (codec_) {
-          case Codec::kBitPack:
-            return Value(dict_[static_cast<size_t>(packed_.Get(i))]);
-          case Codec::kRle:
-            return Value(dict_[static_cast<size_t>(codes_[RunOf(i)])]);
-          default:
-            return Value(dict_[static_cast<size_t>(codes_[i])]);
-        }
+        return Value(dict_[static_cast<size_t>(CodeAt(i))]);
       case Enc::kValue:
         break;
     }
     return Value::Null();
+  }
+
+  /// Typed cell readers for a non-null row of the matching encoding,
+  /// decoding the lane's codec in place.
+  int64_t Int64At(size_t i) const {
+    switch (codec_) {
+      case Codec::kFor:
+        return for_base_ + static_cast<int64_t>(packed_.Get(i));
+      case Codec::kRle:
+        return i64_[RunOf(i)];
+      case Codec::kDictNum:
+        return i64_[packed_.Get(i)];
+      default:
+        return i64_[i];
+    }
+  }
+  double DoubleAt(size_t i) const {
+    switch (codec_) {
+      case Codec::kRle:
+        return f64_[RunOf(i)];
+      case Codec::kDictNum:
+        return f64_[packed_.Get(i)];
+      case Codec::kExpPack: {
+        // Lane value = (prefix code << 52) | 52-bit mantissa; i64_
+        // dictionaries the distinct sign/exponent prefixes. Bit-level
+        // reconstruction, so NaN payloads and -0.0 survive.
+        uint64_t v = packed_.Get(i);
+        uint64_t bits =
+            (static_cast<uint64_t>(i64_[static_cast<size_t>(v >> 52)])
+             << 52) |
+            (v & ((uint64_t{1} << 52) - 1));
+        double d;
+        std::memcpy(&d, &bits, 8);
+        return d;
+      }
+      default:
+        return f64_[i];
+    }
+  }
+  bool BoolAt(size_t i) const {
+    switch (codec_) {
+      case Codec::kBitPack:
+        return packed_.Get(i) != 0;
+      case Codec::kRle:
+        return b8_[RunOf(i)] != 0;
+      default:
+        return b8_[i] != 0;
+    }
+  }
+  /// Dictionary code of a kDict row (index into dict_).
+  int32_t CodeAt(size_t i) const {
+    switch (codec_) {
+      case Codec::kBitPack:
+        return static_cast<int32_t>(packed_.Get(i));
+      case Codec::kRle:
+        return codes_[RunOf(i)];
+      default:
+        return codes_[i];
+    }
   }
 
   bool NullAt(size_t i) const {
@@ -200,8 +216,21 @@ struct ZoneMapEntry {
   std::set<std::string> strings;  // distinct values (kString)
 
   /// Folds one appended cell into the summary. Once invalid, a zone stays
-  /// invalid and is not updated further.
+  /// invalid and is not updated further. The typed forms fold a non-null
+  /// cell of that type; Observe(v) dispatches to them.
   void Observe(const Value& v);
+  void ObserveNull() { has_nulls = true; }
+  void ObserveInt64(int64_t v);
+  void ObserveDouble(double v);
+  void ObserveBool(bool v);
+  void ObserveString(const std::string& v);
+
+ private:
+  /// Type check shared by the typed forms: kSkip when the zone is (or
+  /// just became) invalid and the cell must not be folded.
+  enum class Fold { kSkip, kFirst, kNext };
+  Fold Admit(DataType t);
+  void Widen(double d, Fold fold);
 };
 
 /// Zone summary of one whole view segment — sealed and open rows alike —
@@ -243,15 +272,104 @@ struct SegmentBuildOptions {
   int bloom_bits_per_key = 0;  // 0 disables the per-segment Bloom filter
 };
 
-/// One column under construction, as a plain (uncompressed) ColumnVec
-/// lane. The lane is typed by its first non-null cell and falls back to
-/// raw Value storage once a cell of another type arrives; At() reads any
-/// appended cell back exactly. Finish() yields the plain column a seal
-/// compresses.
+/// One typed column: the open lane of a view segment and the column of an
+/// execution chunk (src/exec/chunk.h) alike. The lane is a plain
+/// (uncompressed) ColumnVec typed by its first non-null cell; it falls
+/// back to raw Value storage once a cell of another type arrives, and an
+/// all-null prefix is only counted. Every typed append is exactly
+/// Append(Value(v)), and At() reads any appended cell back exactly (Int64
+/// vs Double, NULL, NaN payloads, -0.0). Finish() yields the plain column
+/// a seal compresses.
 class ColumnBuilder {
  public:
   void Append(const Value& v);
-  Value At(size_t i) const { return lane_.At(i); }
+  void AppendNull() {
+    const size_t i = n_++;
+    if (type_ == DataType::kNull) return;  // all-null so far: counted
+    if (lane_.enc_ == ColumnVec::Enc::kValue) {
+      lane_.raw_.emplace_back();
+      return;
+    }
+    lane_.n_ = n_;
+    lane_.null_bits_.resize((n_ + 63) / 64, 0);
+    lane_.null_bits_[i >> 6] |= uint64_t{1} << (i & 63);
+    switch (lane_.enc_) {
+      case ColumnVec::Enc::kInt64:
+        lane_.i64_.push_back(0);
+        break;
+      case ColumnVec::Enc::kDouble:
+        lane_.f64_.push_back(0);
+        break;
+      case ColumnVec::Enc::kBool:
+        lane_.b8_.push_back(0);
+        break;
+      case ColumnVec::Enc::kDict:
+        lane_.codes_.push_back(0);
+        break;
+      case ColumnVec::Enc::kValue:
+        break;
+    }
+  }
+  void AppendInt64(int64_t v) {
+    if (lane_.enc_ != ColumnVec::Enc::kInt64) return Append(Value(v));
+    GrowTyped();
+    lane_.i64_.push_back(v);
+  }
+  void AppendDouble(double v) {
+    if (lane_.enc_ != ColumnVec::Enc::kDouble) return Append(Value(v));
+    GrowTyped();
+    lane_.f64_.push_back(v);
+  }
+  void AppendBool(bool v) {
+    if (lane_.enc_ != ColumnVec::Enc::kBool) return Append(Value(v));
+    GrowTyped();
+    lane_.b8_.push_back(v ? 1 : 0);
+  }
+  void AppendString(const std::string& v) {
+    if (lane_.enc_ != ColumnVec::Enc::kDict) return Append(Value(v));
+    const int32_t code = CodeOf(v);
+    GrowTyped();
+    lane_.codes_.push_back(code);
+  }
+  /// Appends cells [begin, begin + count) of `src` (any codec), decoded
+  /// lane to lane. `remap` caches src dictionary code -> own code; it is
+  /// valid for one (src, this) pair and may be shared across calls for
+  /// that pair (nullptr: no cache).
+  void AppendRange(const ColumnVec& src, size_t begin, size_t count,
+                   std::vector<int32_t>* remap = nullptr);
+  void AppendRange(const ColumnBuilder& src, size_t begin, size_t count,
+                   std::vector<int32_t>* remap = nullptr) {
+    if (src.type_ == DataType::kNull) {
+      for (size_t i = 0; i < count; ++i) AppendNull();
+      return;
+    }
+    AppendRange(src.lane_, begin, count, remap);
+  }
+  /// Cells of `src` at `rows`, in that order, as a new column.
+  static ColumnBuilder Gather(const ColumnBuilder& src,
+                              std::span<const uint32_t> rows);
+  /// Keeps the cells i with keep[i] != 0, in order (keep has size()
+  /// entries).
+  void Filter(const uint8_t* keep);
+
+  size_t size() const { return n_; }
+  bool IsNull(size_t i) const {
+    if (type_ == DataType::kNull) return true;
+    if (lane_.enc_ == ColumnVec::Enc::kValue) return lane_.raw_[i].is_null();
+    return lane_.NullAt(i);
+  }
+  Value At(size_t i) const {
+    return type_ == DataType::kNull ? Value::Null() : lane_.At(i);
+  }
+  /// Int64 cell (frame ids, object ids): the typed lane when there is one.
+  int64_t Int64At(size_t i) const {
+    return lane_.enc_ == ColumnVec::Enc::kInt64 ? lane_.i64_[i]
+                                                : At(i).AsInt64();
+  }
+  /// True while no non-null cell was appended; lane() is then empty.
+  bool all_null() const { return type_ == DataType::kNull; }
+  /// The plain lane: typed (enc != kValue), or raw Values once types mix.
+  const ColumnVec& lane() const { return lane_; }
   /// Heap bytes held by the lane (capacity, not size).
   size_t HeapBytes() const;
   /// The plain column: typed lanes with a null bitmap only when some cell
@@ -260,6 +378,15 @@ class ColumnBuilder {
   ColumnVec Finish() const;
 
  private:
+  // One more non-null cell on the typed lane (the caller pushes it).
+  void GrowTyped() {
+    ++n_;
+    lane_.n_ = n_;
+    if (!lane_.null_bits_.empty()) {
+      lane_.null_bits_.resize((n_ + 63) / 64, 0);
+    }
+  }
+  int32_t CodeOf(const std::string& v);  // own dictionary code, adding v
   void StartTyped(DataType t);  // all-null prefix -> typed lane
   void MakeRaw();               // typed lane -> raw Values
   std::vector<Value> RawCells() const;
@@ -267,6 +394,8 @@ class ColumnBuilder {
   ColumnVec lane_;
   DataType type_ = DataType::kNull;  // kNull until the first non-null cell
   size_t n_ = 0;
+  /// String -> code over lane_.dict_; rebuilt when it falls behind the
+  /// dictionary (a Gather copies the dictionary, not the index).
   std::unordered_map<std::string, int32_t> dict_index_;
 };
 
@@ -282,11 +411,11 @@ class SegmentBuilder {
     row_begin_.push_back(0);
   }
 
-  /// Appends `key` (which must be absent) with the cells of `rows`: row i
-  /// contributes rows[i][first_col + c] to column c, cells past the end of
-  /// a row read as NULL. Every appended key and cell is folded into `zone`.
-  void Append(const ViewKey& key, std::span<const Row* const> rows,
-              size_t first_col, SegmentZone* zone);
+  /// Appends `key` (which must be absent) with the cells of `src` at
+  /// `rows`: column c takes src[c]'s cells, a column past the end of `src`
+  /// reads NULL. Every appended key and cell is folded into `zone`.
+  void Append(const ViewKey& key, std::span<const ColumnBuilder> src,
+              std::span<const uint32_t> rows, SegmentZone* zone);
 
   /// Insertion index of `key`, npos when absent.
   size_t Find(const ViewKey& key) const;

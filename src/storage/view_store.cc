@@ -20,7 +20,8 @@ std::vector<Row> CopyRows(const Cols& cols, int32_t begin, int32_t end) {
 
 }  // namespace
 
-size_t MaterializedView::FindSealed(const Segment& s, const ViewKey& key) {
+size_t MaterializedView::FindSealed(const Segment& s, const ViewKey& key,
+                                    size_t* cursor) {
   const ColumnarSegment* sealed = s.sealed.get();
   if (sealed == nullptr ||
       !sealed->bloom.MayContain(HashViewKey(key.frame, key.obj))) {
@@ -33,7 +34,7 @@ size_t MaterializedView::FindSealed(const Segment& s, const ViewKey& key) {
       sealed->key(static_cast<size_t>(offset)) == key) {
     return static_cast<size_t>(offset);
   }
-  return sealed->FindKey(key.frame, key.obj, nullptr);
+  return sealed->FindKey(key.frame, key.obj, cursor);
 }
 
 std::optional<std::vector<Row>> MaterializedView::TryGet(
@@ -52,54 +53,87 @@ std::optional<std::vector<Row>> MaterializedView::TryGet(
                   s.open->row_begin(k + 1));
 }
 
-bool MaterializedView::Put(const ViewKey& key,
-                           std::span<const Row* const> rows,
-                           size_t first_col, uint64_t tick,
-                           int64_t query_id) {
+int64_t MaterializedView::Put(std::span<const KeyRows> keys,
+                             std::span<const uint32_t> sel,
+                             std::span<const ColumnBuilder> cols,
+                             uint64_t first_tick, int64_t query_id,
+                             std::vector<uint8_t>* inserted) {
+  inserted->assign(keys.size(), 0);
+  int64_t count = 0;
   std::unique_lock<std::shared_mutex> lock(mu_);
-  const int64_t seg_id = SegmentOf(key.frame);
-  auto it = segments_.find(seg_id);
-  if (it != segments_.end() &&
-      (FindSealed(it->second, key) != ColumnarSegment::npos ||
-       (it->second.open != nullptr &&
-        it->second.open->Find(key) != SegmentBuilder::npos))) {
-    return false;
+  // Consecutive keys mostly share a segment: reuse its lookup and the
+  // sealed key-index cursor.
+  int64_t cur_id = 0;
+  auto it = segments_.end();
+  size_t cursor = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const ViewKey& key = keys[i].key;
+    const int64_t seg_id = SegmentOf(key.frame);
+    if (i == 0 || seg_id != cur_id || it == segments_.end()) {
+      cur_id = seg_id;
+      it = segments_.find(seg_id);
+      cursor = 0;
+    }
+    if (it != segments_.end() &&
+        (FindSealed(it->second, key, &cursor) != ColumnarSegment::npos ||
+         (it->second.open != nullptr &&
+          it->second.open->Find(key) != SegmentBuilder::npos))) {
+      continue;
+    }
+    const uint64_t tick = first_tick + static_cast<uint64_t>(count);
+    if (it == segments_.end()) {
+      it = segments_.try_emplace(seg_id).first;
+      it->second.zone = SegmentZone(value_schema_.num_fields());
+      it->second.info.created_tick = tick;
+    }
+    Segment& s = it->second;
+    s.read.store(false, std::memory_order_relaxed);
+    if (s.open == nullptr) {
+      s.open = std::make_unique<SegmentBuilder>(value_schema_.num_fields());
+    }
+    s.open->Append(key, cols,
+                   sel.subspan(keys[i].begin, keys[i].end - keys[i].begin),
+                   &s.zone);
+    const int64_t nrows = keys[i].end - keys[i].begin;
+    s.info.keys += 1;
+    s.info.rows += nrows;
+    s.info.last_access_tick = tick;
+    s.info.last_access_query = query_id;
+    num_keys_ += 1;
+    num_rows_ += nrows;
+    if (query_id >= 0) last_access_query_ = query_id;
+    if (capture_appends_) append_log_.push_back(key);
+    (*inserted)[i] = 1;
+    ++count;
+    // A frame-keyed segment holding every frame of its range is complete:
+    // no further key can land in it, so it is sealed now, for good.
+    if (s.info.keys == segment_frames_ && s.zone.obj_min == -1 &&
+        s.zone.obj_max == -1) {
+      SealLocked(&s);
+      cursor = 0;
+    }
   }
-  if (it == segments_.end()) {
-    it = segments_.try_emplace(seg_id).first;
-    it->second.zone = SegmentZone(value_schema_.num_fields());
-    it->second.info.created_tick = tick;
-  }
-  Segment& s = it->second;
-  s.read.store(false, std::memory_order_relaxed);
-  if (s.open == nullptr) {
-    s.open = std::make_unique<SegmentBuilder>(value_schema_.num_fields());
-  }
-  s.open->Append(key, rows, first_col, &s.zone);
-  const int64_t nrows = static_cast<int64_t>(rows.size());
-  s.info.keys += 1;
-  s.info.rows += nrows;
-  s.info.last_access_tick = tick;
-  s.info.last_access_query = query_id;
-  num_keys_ += 1;
-  num_rows_ += nrows;
-  if (query_id >= 0) last_access_query_ = query_id;
-  if (capture_appends_) append_log_.push_back(key);
-  // A frame-keyed segment holding every frame of its range is complete: no
-  // further key can land in it, so it is sealed now, for good.
-  if (s.info.keys == segment_frames_ && s.zone.obj_min == -1 &&
-      s.zone.obj_max == -1) {
-    SealLocked(&s);
-  }
-  return true;
+  return count;
 }
 
 bool MaterializedView::Put(const ViewKey& key, const std::vector<Row>& rows,
                            uint64_t tick, int64_t query_id) {
-  std::vector<const Row*> ptrs;
-  ptrs.reserve(rows.size());
-  for (const Row& row : rows) ptrs.push_back(&row);
-  return Put(key, ptrs, 0, tick, query_id);
+  std::vector<ColumnBuilder> cols(value_schema_.num_fields());
+  std::vector<uint32_t> sel(rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    sel[r] = static_cast<uint32_t>(r);
+    for (size_t c = 0; c < cols.size(); ++c) {
+      if (c < rows[r].size()) {
+        cols[c].Append(rows[r][c]);
+      } else {
+        cols[c].AppendNull();
+      }
+    }
+  }
+  const KeyRows one{key, 0, static_cast<uint32_t>(rows.size())};
+  std::vector<uint8_t> inserted;
+  return Put(std::span<const KeyRows>(&one, 1), sel, cols, tick, query_id,
+             &inserted) == 1;
 }
 
 void MaterializedView::AdoptSegment(const std::vector<ViewKey>& keys,
@@ -208,7 +242,7 @@ void MaterializedView::ProbeBatch(const std::vector<ViewKey>& keys,
   int32_t sealed_slot = -1;  // out->segments index once this run is pinned
   size_t cursor = 0;
   // Rows copied out of open builders, shared by the whole batch.
-  ColumnarSegment* copied = nullptr;
+  std::vector<ColumnBuilder> copied;
   int32_t copied_slot = -1;
   int32_t copied_rows = 0;
   for (const ViewKey& key : keys) {
@@ -275,36 +309,41 @@ void MaterializedView::ProbeBatch(const std::vector<ViewKey>& keys,
       outcome.rows_begin = begin;
     } else if (outcome.status == ProbeStatus::kHit) {
       // The open lanes grow under later Puts, so the rows are copied out
-      // while the lock is held.
-      if (copied == nullptr) {
-        auto seg = std::make_shared<ColumnarSegment>();
-        seg->cols.resize(open->num_cols());
-        copied = seg.get();
+      // (typed, lane to lane) while the lock is held.
+      if (copied_slot < 0) {
         copied_slot = static_cast<int32_t>(out->segments.size());
-        out->segments.push_back(std::move(seg));
+        out->segments.push_back(nullptr);  // filled in after the loop
+        copied.resize(open->num_cols());
       }
       outcome.seg_index = copied_slot;
       outcome.rows_begin = copied_rows;
       copied_rows += outcome.rows_count;
       for (size_t c = 0; c < open->num_cols(); ++c) {
-        for (int32_t r = begin; r < begin + outcome.rows_count; ++r) {
-          copied->cols[c].raw_.push_back(
-              open->cols()[c].At(static_cast<size_t>(r)));
-        }
+        copied[c].AppendRange(open->cols()[c], static_cast<size_t>(begin),
+                              static_cast<size_t>(outcome.rows_count));
       }
     }
     out->outcomes.push_back(outcome);
   }
+  if (copied_slot >= 0) {
+    auto seg = std::make_shared<ColumnarSegment>();
+    seg->cols.reserve(copied.size());
+    for (const ColumnBuilder& c : copied) seg->cols.push_back(c.Finish());
+    out->segments[static_cast<size_t>(copied_slot)] = std::move(seg);
+  }
 }
 
-void MaterializedView::RecordAccess(int64_t frame, uint64_t tick,
-                                    int64_t query_id) {
+void MaterializedView::RecordAccesses(std::span<const int64_t> frames,
+                                      uint64_t first_tick,
+                                      int64_t query_id) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = segments_.find(SegmentOf(frame));
-  if (it == segments_.end()) return;
-  it->second.info.last_access_tick = tick;
-  it->second.info.last_access_query = query_id;
-  if (query_id >= 0) last_access_query_ = query_id;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    auto it = segments_.find(SegmentOf(frames[i]));
+    if (it == segments_.end()) continue;
+    it->second.info.last_access_tick = first_tick + i;
+    it->second.info.last_access_query = query_id;
+    if (query_id >= 0) last_access_query_ = query_id;
+  }
 }
 
 double MaterializedView::SegmentBytesLocked(const Segment& s) const {

@@ -70,8 +70,9 @@ struct ProbeOutcome {
 /// which are immutable (a seal swaps in a fresh one), so the references
 /// stay valid after the probe's lock is released, under concurrent Puts,
 /// seals and eviction. Hits in a segment's open part are copied out, under
-/// the lock, into one per-batch segment of raw Value lanes. Either way the
-/// caller reads cells via segment(oc).cols[c].At(row) (or RowAt).
+/// the lock and lane to lane, into one per-batch segment of plain typed
+/// lanes. Either way the caller reads the cells from segment(oc).cols[c]
+/// (ColumnBuilder::AppendRange decodes them, At or RowAt reads one).
 /// Reusable across batches (Clear keeps capacity).
 struct ProbeResult {
   std::vector<ProbeOutcome> outcomes;  // parallel to the probed keys
@@ -172,15 +173,28 @@ class MaterializedView {
   void ProbeBatch(const std::vector<ViewKey>& keys,
                   const ZoneCheckFn& can_match, ProbeResult* out) const;
 
-  /// Records the UDF's results for `key` — the cells
-  /// rows[i][first_col, first_col + width) of each row, copied straight
-  /// into the segment's open lanes — and returns true. Re-puts of an
-  /// existing key are ignored and return false (append-only STORE
-  /// semantics). `tick` / `query_id` stamp the key's segment for eviction
-  /// scoring.
-  bool Put(const ViewKey& key, std::span<const Row* const> rows,
-           size_t first_col, uint64_t tick, int64_t query_id);
-  /// Convenience form over whole value rows (replay, reload, tests).
+  /// Rows of one key in a batch Put: positions [begin, end) of the
+  /// caller's row selection.
+  struct KeyRows {
+    ViewKey key;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+
+  /// Batch STORE under one exclusive lock. Key i records the UDF's
+  /// results — the cells of `cols` at rows sel[keys[i].begin, keys[i].end),
+  /// copied lane to lane into its segment's open part (a value column past
+  /// the end of `cols` stores NULL). Keys are taken in order; a key already
+  /// present (or inserted earlier in the batch) is skipped (append-only
+  /// STORE semantics). The j-th inserted key is stamped with tick
+  /// `first_tick + j` and `query_id` for eviction scoring. Sets
+  /// (*inserted)[i] and returns the number of keys inserted.
+  int64_t Put(std::span<const KeyRows> keys, std::span<const uint32_t> sel,
+              std::span<const ColumnBuilder> cols, uint64_t first_tick,
+              int64_t query_id, std::vector<uint8_t>* inserted);
+  /// Convenience form over whole value rows (replay, reload, tests): row
+  /// i's cell c goes to column c, cells past the end of a row are NULL.
+  /// Returns whether the key was inserted.
   bool Put(const ViewKey& key, const std::vector<Row>& rows,
            uint64_t tick = 0, int64_t query_id = -1);
 
@@ -194,9 +208,12 @@ class MaterializedView {
                     std::vector<int32_t> row_begin,
                     std::vector<ColumnVec> cols);
 
-  /// Refreshes the access stamp of `frame`'s segment after a successful
-  /// probe (ViewJoin hit). No-op when the segment holds no keys.
-  void RecordAccess(int64_t frame, uint64_t tick, int64_t query_id);
+  /// Refreshes the access stamps of the segments of `frames` after
+  /// successful probes (ViewJoin hits), in order, under one lock: frame i
+  /// is stamped with tick `first_tick + i`. Frames whose segment holds no
+  /// keys are skipped.
+  void RecordAccesses(std::span<const int64_t> frames, uint64_t first_tick,
+                      int64_t query_id);
 
   int64_t num_keys() const {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -307,7 +324,10 @@ class MaterializedView {
   };
 
   /// Key index of `key` in `s`'s sealed part (npos when absent there).
-  static size_t FindSealed(const Segment& s, const ViewKey& key);
+  /// `cursor` (optional) carries the key-index search position across
+  /// ascending lookups in one segment, as ProbeBatch does.
+  static size_t FindSealed(const Segment& s, const ViewKey& key,
+                           size_t* cursor = nullptr);
   /// Merges the open builder into the sealed part and records seal
   /// accounting. Caller holds mu_ exclusively.
   void SealLocked(Segment* s) const;
@@ -370,10 +390,14 @@ class ViewStore {
     return views_;
   }
 
-  /// Monotone tick for segment access stamps. Incremented only from
-  /// driver-thread call sites (ViewJoin probe loop, StoreOp flush), so the
+  /// Monotone tick for segment access stamps. Drawn only from
+  /// driver-thread call sites (ViewJoin hits, STORE inserts), so the
   /// sequence is deterministic regardless of worker-thread count.
   uint64_t NextAccessTick() { return ++segment_clock_; }
+  /// Draws `n` consecutive ticks at once and returns the first.
+  uint64_t NextAccessTicks(uint64_t n) {
+    return segment_clock_.fetch_add(n) + 1;
+  }
   /// Current reading of the access clock without advancing it (eviction
   /// policies use tick distance as a fine-grained recency measure).
   uint64_t current_tick() const { return segment_clock_.load(); }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -132,6 +134,48 @@ TEST(ExplainAnalyzeTest, AnnotatedTreeCoversEveryOperator) {
   EXPECT_GT(admission_lines, 0u) << plan;
   EXPECT_NE(plan.find("self="), std::string::npos);
   EXPECT_NE(plan.find("materialized="), std::string::npos) << plan;
+}
+
+// Extracts the number following `key=` within `text` (NaN when absent).
+double ExtractMs(const std::string& text, const std::string& key) {
+  size_t pos = text.find(" " + key + "=");
+  if (pos == std::string::npos) return std::nan("");
+  return std::atof(text.c_str() + pos + key.size() + 2);
+}
+
+// Every operator line reports its host wall time, total and self (the
+// node minus its children). The totals nest, so self times are never
+// negative and add up to the root's total.
+TEST(ExplainAnalyzeTest, RendersWallTimeTotalAndSelf) {
+  auto engine = MakeEngineOrDie(ReuseMode::kEva);
+  engine->set_metrics_registry(nullptr);
+  ASSERT_TRUE(engine->Execute(kQuery).ok());
+  auto r = engine->Execute(std::string("EXPLAIN ANALYZE ") + kQuery);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::string plan = PlanText(r.value());
+  double root_wall = -1;
+  double self_sum = 0;
+  int nodes = 0;
+  size_t start = 0;
+  while (start < plan.size()) {
+    size_t end = plan.find('\n', start);
+    std::string line = plan.substr(start, end - start);
+    start = end + 1;
+    if (line.find("[rows=") == std::string::npos) continue;
+    const double wall = ExtractMs(line, "wall");
+    const double self = ExtractMs(line, "self_wall");
+    ASSERT_FALSE(std::isnan(wall)) << line;
+    ASSERT_FALSE(std::isnan(self)) << line;
+    EXPECT_GE(wall, 0.0) << line;
+    EXPECT_GE(self, -0.001) << line;  // %.3f rounding
+    EXPECT_LE(self, wall + 0.001) << line;
+    if (root_wall < 0) root_wall = wall;  // the first line is the root
+    self_sum += self;
+    ++nodes;
+  }
+  ASSERT_GT(nodes, 2) << plan;
+  EXPECT_GT(root_wall, 0.0) << plan;
+  EXPECT_NEAR(self_sum, root_wall, 0.001 * nodes) << plan;
 }
 
 TEST(ExplainAnalyzeTest, TracerRecordsSessionSpans) {

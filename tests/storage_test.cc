@@ -57,16 +57,32 @@ TEST(MaterializedViewTest, ObjectLevelKeys) {
   EXPECT_EQ((*view.TryGet({3, 1}))[0][0].AsString(), "Toyota");
 }
 
-// Put copies the value cells straight out of operator rows: row i gives
-// rows[i][first_col, first_col + width), and a short row pads with NULL.
-TEST(MaterializedViewTest, PutCopiesCellsFromFirstColumn) {
+// A batch Put copies the value cells straight out of chunk columns: key i
+// takes the cells at its selected rows, and a value column past the end
+// of the given columns stores NULL.
+TEST(MaterializedViewTest, PutCopiesCellsFromColumnSlices) {
   MaterializedView view("det@v", DetSchema());
-  const Row wide = {Value(int64_t{7}), Value("frame"), Value(int64_t{2}),
-                    Value("car"), Value(0.5), Value(0.75)};
-  const Row short_row = {Value(int64_t{7}), Value("frame"),
-                         Value(int64_t{3}), Value("bus")};
-  const Row* rows[] = {&wide, &short_row};
-  EXPECT_TRUE(view.Put({7, -1}, rows, 2, /*tick=*/1, /*query_id=*/0));
+  const std::vector<Row> rows = {
+      {Value(int64_t{7}), Value("frame"), Value(int64_t{2}), Value("car"),
+       Value(0.5)},
+      {Value(int64_t{8}), Value("skip"), Value(int64_t{9}), Value("bus"),
+       Value(0.1)},
+      {Value(int64_t{7}), Value("frame"), Value(int64_t{3}), Value("bus"),
+       Value::Null()}};
+  std::vector<ColumnBuilder> cols(5);
+  for (const Row& row : rows) {
+    for (size_t c = 0; c < cols.size(); ++c) cols[c].Append(row[c]);
+  }
+  const std::vector<uint32_t> sel = {0, 2, 1};
+  const std::vector<MaterializedView::KeyRows> keys = {
+      {{7, -1}, 0, 2}, {{8, -1}, 2, 3}, {{7, -1}, 0, 1}};
+  std::vector<uint8_t> inserted;
+  // Value columns start at column 2; the fourth value column (score) lies
+  // past the end of the chunk and stores NULL.
+  EXPECT_EQ(view.Put(keys, sel, std::span<const ColumnBuilder>(cols).subspan(2),
+                     /*first_tick=*/1, /*query_id=*/0, &inserted),
+            2);
+  EXPECT_EQ(inserted, (std::vector<uint8_t>{1, 1, 0}));  // re-put skipped
   for (bool sealed : {false, true}) {
     if (sealed) view.SealAllSegments();
     std::optional<std::vector<Row>> got = view.TryGet({7, -1});
@@ -74,11 +90,19 @@ TEST(MaterializedViewTest, PutCopiesCellsFromFirstColumn) {
     ASSERT_EQ(got->size(), 2u);
     EXPECT_EQ((*got)[0][0].AsInt64(), 2);
     EXPECT_EQ((*got)[0][1].AsString(), "car");
-    EXPECT_DOUBLE_EQ((*got)[0][3].AsDouble(), 0.75);
+    EXPECT_DOUBLE_EQ((*got)[0][2].AsDouble(), 0.5);
+    EXPECT_TRUE((*got)[0][3].is_null());
     EXPECT_EQ((*got)[1][1].AsString(), "bus");
     EXPECT_TRUE((*got)[1][2].is_null());
-    EXPECT_TRUE((*got)[1][3].is_null());
+    std::optional<std::vector<Row>> other = view.TryGet({8, -1});
+    ASSERT_TRUE(other.has_value());
+    EXPECT_EQ((*other)[0][0].AsInt64(), 9);
   }
+  // The j-th inserted key carries tick first_tick + j.
+  std::vector<storage::SegmentStats> segs = view.Segments();
+  ASSERT_EQ(segs.size(), 1u);
+  EXPECT_EQ(segs[0].info.created_tick, 1u);
+  EXPECT_EQ(segs[0].info.last_access_tick, 2u);
 }
 
 // Probes read the sealed part and the open builder alike, and a seal

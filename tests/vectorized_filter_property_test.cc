@@ -1,8 +1,9 @@
 // Differential property tests for the columnar probe path (PR 5):
 //
-//  1. FilterProgram (src/exec/vector_filter.h) must agree row-for-row with
-//     the scalar Expr interpreter over randomized schemas, NULLs, and
-//     predicate trees whenever it compiles and executes.
+//  1. FilterProgram (src/exec/vector_filter.h) over a columnar chunk must
+//     agree row-for-row with the scalar Expr interpreter over the same
+//     rows — randomized schemas, NULLs, NaN/-0.0, mixed-type columns and
+//     predicate trees — whenever it compiles and executes.
 //  2. MaterializedView::ProbeBatch must agree with TryGet across
 //     segment boundaries, interleaved Puts (columnar staleness), and
 //     eviction.
@@ -13,6 +14,7 @@
 //     zone-skipping paths on or off, and bit-identical simulated times
 //     across worker-thread counts with them on.
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -67,6 +69,10 @@ Value RandomValue(Lcg& rng, DataType type) {
     case DataType::kInt64:
       return Value(rng.Below(20) - 5);
     case DataType::kDouble:
+      // Occasional NaN and -0.0: the typed lanes must compare them exactly
+      // as Value::Compare does.
+      if (rng.Chance(0.05)) return Value(std::nan(""));
+      if (rng.Chance(0.05)) return Value(-0.0);
       return Value(rng.Unit() * 2.0 - 0.5);
     case DataType::kString:
       return Value(std::string(kLabels[rng.Below(5)]));
@@ -95,7 +101,8 @@ DataType RandomType(Lcg& rng) {
 struct RandomTable {
   Schema schema;
   std::vector<DataType> col_types;  // nominal type per column
-  Batch batch{Schema{}};
+  std::vector<Row> rows;            // the scalar oracle's input
+  exec::Chunk chunk;                // the same rows, as typed columns
 };
 
 RandomTable MakeTable(Lcg& rng) {
@@ -106,7 +113,6 @@ RandomTable MakeTable(Lcg& rng) {
     t.col_types.push_back(type);
     t.schema.AddField({"c" + std::to_string(c), type});
   }
-  t.batch = Batch(t.schema);
   // Row counts straddle typical selection-vector block sizes.
   int rows = static_cast<int>(rng.Below(200));
   bool mixed_cols = rng.Chance(0.2);
@@ -123,8 +129,9 @@ RandomTable MakeTable(Lcg& rng) {
         row.push_back(RandomValue(rng, t.col_types[static_cast<size_t>(c)]));
       }
     }
-    t.batch.AddRow(std::move(row));
+    t.rows.push_back(std::move(row));
   }
+  t.chunk = exec::Chunk::FromBatch(Batch(t.schema, t.rows));
   return t;
 }
 
@@ -184,7 +191,7 @@ TEST(VectorizedFilterProperty, MatchesScalarInterpreter) {
     }
     ++compiled;
     std::vector<uint8_t> keep;
-    Status s = program->Execute(t.batch, &keep);
+    Status s = program->Execute(t.chunk, &keep);
     if (!s.ok()) {
       // A runtime bail (non-bool cell in a logical position) sends the
       // whole batch back to the interpreter; the verdict set is whatever
@@ -193,9 +200,9 @@ TEST(VectorizedFilterProperty, MatchesScalarInterpreter) {
       continue;
     }
     ++executed;
-    ASSERT_EQ(keep.size(), t.batch.num_rows());
-    for (size_t r = 0; r < t.batch.num_rows(); ++r) {
-      auto scalar = expr::EvaluateBool(*pred, t.schema, t.batch.rows()[r]);
+    ASSERT_EQ(keep.size(), t.rows.size());
+    for (size_t r = 0; r < t.rows.size(); ++r) {
+      auto scalar = expr::EvaluateBool(*pred, t.schema, t.rows[r]);
       // Vectorized success implies the scalar interpreter cannot error on
       // any row: every cell the program touched was bool-or-null, and the
       // interpreter touches a subset (short-circuit).
