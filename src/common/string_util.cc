@@ -49,4 +49,47 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+std::string PercentEscape(const std::string& s) {
+  if (s.empty()) return "%";
+  static const char kHex[] = "0123456789ABCDEF";
+  std::string out;
+  out.reserve(s.size());
+  for (unsigned char c : s) {
+    if (c <= ' ' || c == '%' || c == 0x7f) {
+      out += '%';
+      out += kHex[c >> 4];
+      out += kHex[c & 15];
+    } else {
+      out += static_cast<char>(c);
+    }
+  }
+  return out;
+}
+
+Result<std::string> PercentUnescape(const std::string& s) {
+  if (s == "%") return std::string();
+  auto hex = [](char c) -> int {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    return -1;
+  };
+  std::string out;
+  out.reserve(s.size());
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (s[i] != '%') {
+      out += s[i];
+      continue;
+    }
+    const int hi = i + 2 < s.size() ? hex(s[i + 1]) : -1;
+    const int lo = i + 2 < s.size() ? hex(s[i + 2]) : -1;
+    if (hi < 0 || lo < 0) {
+      return Status::InvalidArgument("bad percent escape in: " + s);
+    }
+    out += static_cast<char>(hi * 16 + lo);
+    i += 2;
+  }
+  return out;
+}
+
 }  // namespace eva

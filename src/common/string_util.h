@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+
 namespace eva {
 
 /// ASCII lower-casing (identifiers in EVA-QL are case-insensitive).
@@ -20,6 +22,14 @@ bool StartsWith(const std::string& s, const std::string& prefix);
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// Percent-escaping for the whitespace-separated text lines of the
+/// manifest, lifecycle, WAL and predicate encodings: every byte <= 0x20,
+/// 0x7f and '%' becomes %XX, and the empty string becomes "%" so a token
+/// is never empty. PercentUnescape inverts it exactly and rejects a
+/// truncated escape or a non-hex digit.
+std::string PercentEscape(const std::string& s);
+Result<std::string> PercentUnescape(const std::string& s);
 
 }  // namespace eva
 

@@ -255,8 +255,7 @@ Status EvaEngine::SaveViews(const std::string& dir) {
   // therefore IS a checkpoint; saving elsewhere is a snapshot export.
   if (wal_writer_ != nullptr && dir == wal_dir_) return Checkpoint();
   fault::FaultFs fs(injector_.active() ? &injector_ : nullptr);
-  return storage::SaveSession(views_, manager_, dir, &fs,
-                              {options_.segment_compression});
+  return storage::SaveSession(views_, manager_, dir, &fs);
 }
 
 Status EvaEngine::LoadViews(const std::string& dir) {
@@ -445,8 +444,7 @@ Status EvaEngine::Checkpoint() {
   // snapshot below must supersede everything the old generation holds.
   EVA_RETURN_IF_ERROR(WalCommitQuery(query_seq_, {}));
 
-  EVA_RETURN_IF_ERROR(storage::SaveSession(views_, manager_, wal_dir_, &fs,
-                                           {options_.segment_compression}));
+  EVA_RETURN_IF_ERROR(storage::SaveSession(views_, manager_, wal_dir_, &fs));
   EVA_ASSIGN_OR_RETURN(int64_t gen,
                        storage::ManifestGeneration(wal_dir_, &fs));
 
@@ -593,21 +591,23 @@ Status EvaEngine::WalCommitQuery(
     if (wal_known_views_.insert(name).second) {
       wal_writer_->Stage(wal::ViewAdmissionRecord(name, view->value_schema()));
     }
-    std::vector<std::pair<storage::ViewKey, std::vector<Row>>> entries;
-    size_t i = 0;
-    while (i < keys.size()) {
+    // One record per run of keys in the same segment. A key appended then
+    // evicted within the same query has no rows left to log — CopyRows
+    // skips it, a sound underclaim.
+    storage::MaterializedView::KeyedRows rows;
+    for (size_t i = 0; i < keys.size();) {
       const int64_t seg = view->SegmentOf(keys[i].frame);
-      entries.clear();
-      for (; i < keys.size() && view->SegmentOf(keys[i].frame) == seg; ++i) {
-        std::optional<std::vector<Row>> rows = view->TryGet(keys[i]);
-        // Appended then evicted within the same query: the rows are gone,
-        // so there is nothing to log — skipping is a sound underclaim.
-        if (!rows.has_value()) continue;
-        entries.emplace_back(keys[i], std::move(*rows));
+      size_t end = i + 1;
+      while (end < keys.size() && view->SegmentOf(keys[end].frame) == seg) {
+        ++end;
       }
-      if (!entries.empty()) {
-        wal_writer_->Stage(wal::SegmentAppendRecord(name, query_id, entries));
+      view->CopyRows(std::span<const storage::ViewKey>(keys).subspan(
+                         i, end - i),
+                     &rows);
+      if (!rows.keys.empty()) {
+        wal_writer_->Stage(wal::SegmentAppendRecord(name, query_id, rows));
       }
+      i = end;
     }
   }
   for (const udf::CoverageOp& op : manager_.TakeJournal()) {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <sstream>
@@ -20,48 +18,6 @@ namespace {
 
 namespace stdfs = std::filesystem;
 
-// Percent-escapes whitespace and '%' so string cells survive the
-// whitespace-separated line format.
-std::string Escape(const std::string& s) {
-  std::string out;
-  for (unsigned char c : s) {
-    if (std::isspace(c) || c == '%') {
-      out += StrFormat("%%%02X", c);
-    } else {
-      out += static_cast<char>(c);
-    }
-  }
-  return out;
-}
-
-int HexDigit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-Result<std::string> Unescape(const std::string& s) {
-  std::string out;
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%') {
-      if (i + 2 >= s.size()) {
-        return Status::InvalidArgument("truncated escape in view file");
-      }
-      int hi = HexDigit(s[i + 1]);
-      int lo = HexDigit(s[i + 2]);
-      if (hi < 0 || lo < 0) {
-        return Status::InvalidArgument("bad hex escape in view file: " + s);
-      }
-      out += static_cast<char>(hi * 16 + lo);
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
 std::string SanitizeFilename(const std::string& name) {
   std::string out;
   for (char c : name) {
@@ -71,14 +27,6 @@ std::string SanitizeFilename(const std::string& name) {
                : '_';
   }
   return out;
-}
-
-DataType TypeFromName(const std::string& name) {
-  if (name == "BOOL") return DataType::kBool;
-  if (name == "INT64") return DataType::kInt64;
-  if (name == "DOUBLE") return DataType::kDouble;
-  if (name == "STRING") return DataType::kString;
-  return DataType::kNull;
 }
 
 bool EndsWith(const std::string& s, const std::string& suffix) {
@@ -93,9 +41,9 @@ std::string JoinPath(const std::string& dir, const std::string& file) {
 /// Files the persistence layer owns inside a save directory; anything else
 /// (user files) is never removed or quarantined.
 bool IsManagedFile(const std::string& name) {
-  return EndsWith(name, ".evaview") || EndsWith(name, ".evaseg") ||
-         EndsWith(name, ".evastate") || EndsWith(name, ".tmp") ||
-         EndsWith(name, ".quarantined") || name == "MANIFEST";
+  return EndsWith(name, ".evaseg") || EndsWith(name, ".evastate") ||
+         EndsWith(name, ".tmp") || EndsWith(name, ".quarantined") ||
+         name == "MANIFEST";
 }
 
 /// Sorted basenames of the regular files in `dir` — sorted so the fault
@@ -122,7 +70,6 @@ struct ManifestEntry {
   uint64_t size = 0;
   uint32_t crc = 0;
   bool is_lifecycle = false;
-  bool is_segment = false;  // binary .evaseg codec file (kind "vseg")
   std::string view_name;  // logical view key, "" for the lifecycle entry
 };
 
@@ -139,13 +86,19 @@ std::string RenderManifest(const Manifest& m) {
   for (const ManifestEntry& e : m.entries) {
     out += "file " + e.file + " " + std::to_string(e.size) + " " +
            StrFormat("%08x", e.crc) + " " +
-           (e.is_lifecycle
-                ? std::string("lifecycle -")
-                : (e.is_segment ? "vseg " : "view ") + Escape(e.view_name)) +
+           (e.is_lifecycle ? std::string("lifecycle -")
+                           : "view " + PercentEscape(e.view_name)) +
            "\n";
   }
   out += "checksum " + StrFormat("%08x", Crc32(out)) + "\n";
   return out;
+}
+
+int HexDigit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
 }
 
 bool ParseHex32(const std::string& s, uint32_t* out) {
@@ -198,9 +151,8 @@ bool ParseManifest(const std::string& content, Manifest* m) {
     if (!ParseHex32(crc_tok, &e.crc)) return false;
     if (kind == "lifecycle") {
       e.is_lifecycle = true;
-    } else if (kind == "view" || kind == "vseg") {
-      e.is_segment = kind == "vseg";
-      auto name = Unescape(name_tok);
+    } else if (kind == "view") {
+      auto name = PercentUnescape(name_tok);
       if (!name.ok()) return false;
       e.view_name = std::move(name.value());
     } else {
@@ -249,125 +201,12 @@ Status CommitManifest(const std::string& dir, const Manifest& m,
 }
 
 // ---------------------------------------------------------------------------
-// View file serialization / parsing
-// ---------------------------------------------------------------------------
-
-std::string SerializeView(const std::string& name,
-                          const MaterializedView& view) {
-  std::ostringstream out;
-  out << "eva-view 1\n";
-  out << "name " << Escape(name) << "\n";
-  out << "schema " << view.value_schema().num_fields();
-  for (const Field& f : view.value_schema().fields()) {
-    out << " " << Escape(f.name) << " " << DataTypeName(f.type);
-  }
-  out << "\n";
-  for (const auto& [seg_id, seg] : view.SealedSegments()) {
-    for (size_t i = 0; i < seg->num_keys(); ++i) {
-      const int32_t begin = seg->row_begin_at(i);
-      const int32_t end = seg->row_begin_at(i + 1);
-      out << "key " << seg->key_frame(i) << " " << seg->key_obj(i) << " "
-          << end - begin << "\n";
-      for (int32_t r = begin; r < end; ++r) {
-        out << "row";
-        for (const ColumnVec& col : seg->cols) {
-          out << " " << EncodeValue(col.At(static_cast<size_t>(r)));
-        }
-        out << "\n";
-      }
-    }
-  }
-  return out.str();
-}
-
-/// Parses one view file body and, only if the whole body parses, installs
-/// its keys into `store` (merging; existing keys win). Staging the rows
-/// first means a file that fails halfway contributes nothing — a corrupt
-/// file can only underclaim, never leave half-loaded state behind.
-Status ParseViewBody(const std::string& content, const std::string& file,
-                     ViewStore* store) {
-  std::istringstream in(content);
-  std::string line;
-  if (!std::getline(in, line) || line != "eva-view 1") {
-    return Status::InvalidArgument("bad view file header: " + file);
-  }
-  if (!std::getline(in, line) || !StartsWith(line, "name ")) {
-    return Status::InvalidArgument("missing view name in " + file);
-  }
-  EVA_ASSIGN_OR_RETURN(std::string name, Unescape(line.substr(5)));
-  if (!std::getline(in, line) || !StartsWith(line, "schema ")) {
-    return Status::InvalidArgument("missing schema in " + file);
-  }
-  Schema schema;
-  {
-    std::istringstream is(line.substr(7));
-    int64_t n = 0;
-    if (!(is >> n) || n < 0) {
-      return Status::InvalidArgument("bad schema count in " + file);
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      std::string col, type;
-      if (!(is >> col >> type)) {
-        return Status::InvalidArgument("truncated schema line in " + file);
-      }
-      EVA_ASSIGN_OR_RETURN(std::string col_name, Unescape(col));
-      schema.AddField({col_name, TypeFromName(type)});
-    }
-  }
-  std::vector<std::pair<ViewKey, std::vector<Row>>> staged;
-  ViewKey key{0, -1};
-  int64_t pending_rows = 0;
-  std::vector<Row> rows;
-  bool has_key = false;
-  auto flush = [&]() -> Status {
-    if (static_cast<int64_t>(rows.size()) != pending_rows) {
-      return Status::InvalidArgument("row count mismatch in " + file +
-                                     " for key " +
-                                     std::to_string(key.frame));
-    }
-    staged.emplace_back(key, std::move(rows));
-    rows = {};
-    return Status::OK();
-  };
-  while (std::getline(in, line)) {
-    if (StartsWith(line, "key ")) {
-      if (has_key) EVA_RETURN_IF_ERROR(flush());
-      std::istringstream is(line.substr(4));
-      if (!(is >> key.frame >> key.obj >> pending_rows) ||
-          pending_rows < 0) {
-        return Status::InvalidArgument("bad key line in " + file + ": " +
-                                       line);
-      }
-      has_key = true;
-      rows.clear();
-    } else if (StartsWith(line, "row ")) {
-      if (!has_key) {
-        return Status::InvalidArgument("row before key in " + file);
-      }
-      std::istringstream is(line.substr(4));
-      Row row;
-      std::string cell;
-      while (is >> cell) {
-        EVA_ASSIGN_OR_RETURN(Value v, DecodeValue(cell));
-        row.push_back(std::move(v));
-      }
-      rows.push_back(std::move(row));
-    } else if (!line.empty()) {
-      return Status::InvalidArgument("unexpected line in view file: " +
-                                     line);
-    }
-  }
-  if (has_key) EVA_RETURN_IF_ERROR(flush());
-  MaterializedView* view = store->GetOrCreate(name, schema);
-  for (auto& [k, r] : staged) view->Put(k, std::move(r));
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
 // Binary .evaseg codec files (compressed sealed segments)
 // ---------------------------------------------------------------------------
 
-constexpr char kSegMagic[] = "eva-seg 1\n";
+// Version 2: mixed-type (kValue) lanes carry a binary tag + payload per
+// cell. A version-1 body fails the header check and is quarantined.
+constexpr char kSegMagic[] = "eva-seg 2\n";
 
 void WritePacked(ByteWriter* w, const BitPackedVec& p) {
   w->U8(static_cast<uint8_t>(p.width()));
@@ -419,12 +258,69 @@ bool ReadRleEnds(ByteReader* r, size_t runs, size_t n,
   return runs == 0 ? n == 0 : prev == n;
 }
 
+// One cell of a mixed-type (kValue) lane: the DataType byte, then the
+// typed payload (none for NULL).
+void WriteCell(ByteWriter* w, const Value& v) {
+  w->U8(static_cast<uint8_t>(v.type()));
+  switch (v.type()) {
+    case DataType::kNull:
+      break;
+    case DataType::kBool:
+      w->U8(v.AsBool() ? 1 : 0);
+      break;
+    case DataType::kInt64:
+      w->Zigzag(v.AsInt64());
+      break;
+    case DataType::kDouble:
+      w->F64(v.AsDouble());
+      break;
+    case DataType::kString:
+      w->Str(v.AsString());
+      break;
+  }
+}
+
+bool ReadCell(ByteReader* r, Value* v) {
+  uint8_t tag;
+  if (!r->U8(&tag)) return false;
+  switch (static_cast<DataType>(tag)) {
+    case DataType::kNull:
+      *v = Value::Null();
+      return true;
+    case DataType::kBool: {
+      uint8_t b;
+      if (!r->U8(&b) || b > 1) return false;
+      *v = Value(b == 1);
+      return true;
+    }
+    case DataType::kInt64: {
+      int64_t i;
+      if (!r->Zigzag(&i)) return false;
+      *v = Value(i);
+      return true;
+    }
+    case DataType::kDouble: {
+      double d;
+      if (!r->F64(&d)) return false;
+      *v = Value(d);
+      return true;
+    }
+    case DataType::kString: {
+      std::string str;
+      if (!r->Str(&str)) return false;
+      *v = Value(std::move(str));
+      return true;
+    }
+  }
+  return false;  // unknown tag
+}
+
 void WriteColumn(ByteWriter* w, const ColumnVec& col) {
   w->U8(static_cast<uint8_t>(col.enc_));
   w->U8(static_cast<uint8_t>(col.codec_));
   if (col.enc_ == ColumnVec::Enc::kValue) {
     w->Varint(col.raw_.size());
-    for (const Value& v : col.raw_) w->Str(EncodeValue(v));
+    for (const Value& v : col.raw_) WriteCell(w, v);
     return;
   }
   w->Varint(col.n_);
@@ -506,13 +402,9 @@ bool ReadColumn(ByteReader* r, size_t expected_rows, ColumnVec* col) {
     if (codec != ColumnVec::Codec::kPlain) return false;
     uint64_t n;
     if (!r->Count(&n) || n != expected_rows) return false;
-    col->raw_.reserve(static_cast<size_t>(n));
-    std::string cell;
-    for (uint64_t i = 0; i < n; ++i) {
-      if (!r->Str(&cell)) return false;
-      auto v = DecodeValue(cell);
-      if (!v.ok()) return false;
-      col->raw_.push_back(std::move(v.value()));
+    col->raw_.resize(static_cast<size_t>(n));
+    for (Value& v : col->raw_) {
+      if (!ReadCell(r, &v)) return false;
     }
     return true;
   }
@@ -658,6 +550,68 @@ bool ReadColumn(ByteReader* r, size_t expected_rows, ColumnVec* col) {
   return false;
 }
 
+/// Key index of one segment block: frame deltas, object ids and per-key
+/// row counts, each lane in key order. `key_at(i)` / `rows_at(i)` give key
+/// i and its row count.
+template <typename KeyAt, typename RowsAt>
+void WriteKeyIndex(ByteWriter* w, size_t nkeys, KeyAt key_at,
+                   RowsAt rows_at) {
+  w->Varint(nkeys);
+  int64_t prev_frame = 0;
+  for (size_t i = 0; i < nkeys; ++i) {
+    const int64_t f = key_at(i).frame;
+    w->Zigzag(f - prev_frame);
+    prev_frame = f;
+  }
+  for (size_t i = 0; i < nkeys; ++i) w->Zigzag(key_at(i).obj);
+  for (size_t i = 0; i < nkeys; ++i) {
+    w->Varint(static_cast<uint64_t>(rows_at(i)));
+  }
+}
+
+/// One segment block read back: keys, prefix row offsets (size keys + 1)
+/// and one validated column per value field.
+struct SegmentBlock {
+  std::vector<ViewKey> keys;
+  std::vector<int32_t> row_begin;
+  std::vector<ColumnVec> cols;
+};
+
+/// Reads a block written by WriteKeyIndex + one WriteColumn per field and
+/// validates it: counts in range, `num_cols` columns, each exactly as long
+/// as the row total. After a successful read every cell is in bounds.
+bool ReadSegmentBlock(ByteReader* r, size_t num_cols, SegmentBlock* out) {
+  uint64_t nkeys;
+  if (!r->Count(&nkeys)) return false;
+  out->keys.resize(static_cast<size_t>(nkeys));
+  int64_t frame = 0;
+  for (ViewKey& k : out->keys) {
+    int64_t delta;
+    if (!r->Zigzag(&delta)) return false;
+    frame += delta;
+    k.frame = frame;
+  }
+  for (ViewKey& k : out->keys) {
+    if (!r->Zigzag(&k.obj)) return false;
+  }
+  out->row_begin.assign(out->keys.size() + 1, 0);
+  uint64_t total_rows = 0;
+  for (size_t i = 0; i < out->keys.size(); ++i) {
+    uint64_t v;
+    if (!r->Varint(&v) || v > ByteReader::kMaxCount) return false;
+    total_rows += v;
+    if (total_rows > ByteReader::kMaxCount) return false;
+    out->row_begin[i + 1] = static_cast<int32_t>(total_rows);
+  }
+  uint64_t ncols;
+  if (!r->Count(&ncols) || ncols != num_cols) return false;
+  out->cols.assign(num_cols, ColumnVec());
+  for (ColumnVec& col : out->cols) {
+    if (!ReadColumn(r, static_cast<size_t>(total_rows), &col)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string SerializeViewSegments(const std::string& name,
@@ -673,19 +627,11 @@ std::string SerializeViewSegments(const std::string& name,
   }
   w.Varint(sealed.size());
   for (const auto& [seg_id, seg] : sealed) {
-    const size_t nkeys = seg->num_keys();
-    w.Varint(nkeys);
-    int64_t prev_frame = 0;
-    for (size_t i = 0; i < nkeys; ++i) {
-      int64_t f = seg->key_frame(i);
-      w.Zigzag(f - prev_frame);
-      prev_frame = f;
-    }
-    for (size_t i = 0; i < nkeys; ++i) w.Zigzag(seg->key_obj(i));
-    for (size_t i = 0; i < nkeys; ++i) {
-      w.Varint(static_cast<uint64_t>(seg->row_begin_at(i + 1) -
-                                     seg->row_begin_at(i)));
-    }
+    WriteKeyIndex(
+        &w, seg->num_keys(), [&seg](size_t i) { return seg->key(i); },
+        [&seg](size_t i) {
+          return seg->row_begin_at(i + 1) - seg->row_begin_at(i);
+        });
     w.Varint(seg->cols.size());
     for (const ColumnVec& col : seg->cols) WriteColumn(&w, col);
   }
@@ -721,64 +667,58 @@ Status ParseSegmentBody(const std::string& content, const std::string& file,
   uint64_t nsegs;
   if (!r.Count(&nsegs)) return corrupt("segment count");
   // Stage everything; a failure anywhere installs nothing.
-  struct StagedSegment {
-    std::vector<ViewKey> keys;
-    std::vector<int32_t> row_begin;
-    std::vector<ColumnVec> cols;
-  };
-  std::vector<StagedSegment> staged;
-  for (uint64_t s = 0; s < nsegs; ++s) {
-    uint64_t nkeys;
-    if (!r.Count(&nkeys)) return corrupt("key count");
-    std::vector<ViewKey> keys(static_cast<size_t>(nkeys));
-    int64_t frame = 0;
-    for (ViewKey& k : keys) {
-      int64_t delta;
-      if (!r.Zigzag(&delta)) return corrupt("frame delta");
-      frame += delta;
-      k.frame = frame;
+  std::vector<SegmentBlock> staged(static_cast<size_t>(nsegs));
+  for (SegmentBlock& seg : staged) {
+    if (!ReadSegmentBlock(&r, static_cast<size_t>(nfields), &seg)) {
+      return corrupt("segment");
     }
-    for (ViewKey& k : keys) {
-      if (!r.Zigzag(&k.obj)) return corrupt("obj");
+    for (size_t i = 1; i < seg.keys.size(); ++i) {
+      if (!(seg.keys[i - 1] < seg.keys[i])) return corrupt("key order");
     }
-    for (size_t i = 1; i < keys.size(); ++i) {
-      if (!(keys[i - 1] < keys[i])) return corrupt("key order");
-    }
-    std::vector<uint32_t> row_counts(keys.size());
-    uint64_t total_rows = 0;
-    for (uint32_t& c : row_counts) {
-      uint64_t v;
-      if (!r.Varint(&v) || v > ByteReader::kMaxCount) {
-        return corrupt("row count");
-      }
-      c = static_cast<uint32_t>(v);
-      total_rows += v;
-    }
-    if (total_rows > ByteReader::kMaxCount) return corrupt("row total");
-    uint64_t ncols;
-    if (!r.Count(&ncols)) return corrupt("column count");
-    if (ncols != nfields) return corrupt("column count mismatch");
-    std::vector<ColumnVec> cols(static_cast<size_t>(ncols));
-    for (ColumnVec& col : cols) {
-      if (!ReadColumn(&r, static_cast<size_t>(total_rows), &col)) {
-        return corrupt("column");
-      }
-    }
-    // The decoded codec state was validated above, so the columns are
-    // adopted as they are: every At() the probe path makes is in bounds.
-    std::vector<int32_t> row_begin(keys.size() + 1, 0);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      row_begin[i + 1] = row_begin[i] + static_cast<int32_t>(row_counts[i]);
-    }
-    staged.push_back({std::move(keys), std::move(row_begin), std::move(cols)});
   }
   if (!r.done()) return corrupt("trailing bytes");
+  // The decoded codec state was validated above, so the columns are
+  // adopted as they are: every cell the probe path reads is in bounds.
   MaterializedView* view = store->GetOrCreate(name, schema);
-  for (StagedSegment& seg : staged) {
+  for (SegmentBlock& seg : staged) {
     view->AdoptSegment(seg.keys, std::move(seg.row_begin),
                        std::move(seg.cols));
   }
   return Status::OK();
+}
+
+void WriteKeyedRows(ByteWriter* w, const MaterializedView::KeyedRows& rows) {
+  WriteKeyIndex(
+      w, rows.keys.size(), [&rows](size_t i) { return rows.keys[i].key; },
+      [&rows](size_t i) { return rows.keys[i].end - rows.keys[i].begin; });
+  w->Varint(rows.cols.size());
+  for (const ColumnBuilder& col : rows.cols) {
+    // An all-null builder holds no lane yet; its plain column is raw NULLs.
+    if (col.all_null()) {
+      WriteColumn(w, col.Finish());
+    } else {
+      WriteColumn(w, col.lane());
+    }
+  }
+}
+
+bool ReadKeyedRows(ByteReader* r, size_t num_cols,
+                   MaterializedView::KeyedRows* rows) {
+  SegmentBlock block;
+  if (!ReadSegmentBlock(r, num_cols, &block)) return false;
+  rows->keys.clear();
+  rows->keys.reserve(block.keys.size());
+  for (size_t i = 0; i < block.keys.size(); ++i) {
+    rows->keys.push_back({block.keys[i],
+                          static_cast<uint32_t>(block.row_begin[i]),
+                          static_cast<uint32_t>(block.row_begin[i + 1])});
+  }
+  rows->cols.assign(num_cols, ColumnBuilder());
+  const size_t n = static_cast<size_t>(block.row_begin.back());
+  for (size_t c = 0; c < num_cols; ++c) {
+    rows->cols[c].AppendRange(block.cols[c], 0, n);
+  }
+  return true;
 }
 
 namespace {
@@ -792,7 +732,7 @@ std::string SerializeLifecycle(const ViewStore& store,
   std::ostringstream out;
   out << "eva-lifecycle 1\n";
   for (const auto& [name, view] : store.views()) {
-    out << "view " << Escape(name) << " " << view->segment_frames() << "\n";
+    out << "view " << PercentEscape(name) << " " << view->segment_frames() << "\n";
     for (const SegmentStats& seg : view->Segments()) {
       out << "segment " << seg.segment_id << " " << seg.info.keys << " "
           << seg.info.rows << " " << seg.info.created_tick << " "
@@ -801,7 +741,7 @@ std::string SerializeLifecycle(const ViewStore& store,
     }
   }
   for (const auto& [key, entry] : manager.entries()) {
-    out << "coverage " << Escape(key) << " "
+    out << "coverage " << PercentEscape(key) << " "
         << symbolic::EncodePredicate(entry.coverage) << "\n";
   }
   return out.str();
@@ -835,7 +775,7 @@ Status ParseLifecycleBody(const std::string& content,
       if (!(is >> name_tok >> stamps.segment_frames)) {
         return Status::InvalidArgument("truncated view line: " + line);
       }
-      EVA_ASSIGN_OR_RETURN(stamps.name, Unescape(name_tok));
+      EVA_ASSIGN_OR_RETURN(stamps.name, PercentUnescape(name_tok));
       out->views.push_back(std::move(stamps));
     } else if (StartsWith(line, "segment ")) {
       if (out->views.empty()) {
@@ -855,7 +795,7 @@ Status ParseLifecycleBody(const std::string& content,
       if (!(is >> key_tok)) {
         return Status::InvalidArgument("truncated coverage line: " + line);
       }
-      EVA_ASSIGN_OR_RETURN(std::string key, Unescape(key_tok));
+      EVA_ASSIGN_OR_RETURN(std::string key, PercentUnescape(key_tok));
       std::string encoded;
       std::getline(is, encoded);
       if (!encoded.empty() && encoded.front() == ' ') encoded.erase(0, 1);
@@ -910,97 +850,31 @@ Status Quarantine(fault::FaultFs* fs, const std::string& dir,
   return Status::OK();
 }
 
-Status SaveImpl(const ViewStore& store, const udf::UdfManager* manager,
-                const std::string& dir, fault::FaultFs* fs,
-                const SaveOptions& options = {}) {
-  EVA_RETURN_IF_ERROR(fs->CreateDirs(dir));
-  Manifest old;
-  EVA_ASSIGN_OR_RETURN(ManifestState old_state, ReadManifest(dir, fs, &old));
-  Manifest next;
-  next.generation =
-      (old_state == ManifestState::kValid ? old.generation : 0) + 1;
-  const std::string gen_tag = ".g" + std::to_string(next.generation);
-  auto write_atomic = [&](const std::string& file,
-                          const std::string& body) -> Status {
-    const std::string path = JoinPath(dir, file);
-    EVA_RETURN_IF_ERROR(fs->WriteFile(path + ".tmp", body));
-    return fs->Rename(path + ".tmp", path);
-  };
-  for (const auto& [name, view] : store.views()) {
-    const bool seg_form = options.compressed_segments;
-    const std::string body = seg_form ? SerializeViewSegments(name, *view)
-                                      : SerializeView(name, *view);
-    const std::string file = SanitizeFilename(name) + gen_tag +
-                             (seg_form ? ".evaseg" : ".evaview");
-    EVA_RETURN_IF_ERROR(write_atomic(file, body));
-    next.entries.push_back(
-        {file, body.size(), Crc32(body), false, seg_form, name});
+/// Removes leftover tmp files (an interrupted save whose rename never
+/// happened) and quarantines every other managed file not in `keep` with
+/// `reason`; files already quarantined are left alone.
+Status SweepUnlisted(fault::FaultFs* fs, const std::string& dir,
+                     const std::set<std::string>& keep,
+                     const std::string& reason, RecoveryReport* report) {
+  for (const std::string& name : ListFiles(dir)) {
+    if (keep.count(name) > 0 || !IsManagedFile(name)) continue;
+    if (EndsWith(name, ".quarantined")) continue;
+    if (EndsWith(name, ".tmp")) {
+      Status st = fs->Remove(JoinPath(dir, name));
+      if (!st.ok() && fs->halted()) return st;
+      if (st.ok()) ++report->tmp_removed;
+      continue;
+    }
+    EVA_RETURN_IF_ERROR(Quarantine(fs, dir, name, "", reason, report));
   }
-  if (manager != nullptr) {
-    const std::string body = SerializeLifecycle(store, *manager);
-    const std::string file = "lifecycle" + gen_tag + ".evastate";
-    EVA_RETURN_IF_ERROR(write_atomic(file, body));
-    next.entries.push_back(
-        {file, body.size(), Crc32(body), true, false, ""});
-  }
-  return CommitManifest(dir, next, fs);
+  return Status::OK();
 }
 
 }  // namespace
 
-std::string EncodeValue(const Value& v) {
-  switch (v.type()) {
-    case DataType::kNull:
-      return "N";
-    case DataType::kBool:
-      return v.AsBool() ? "B:1" : "B:0";
-    case DataType::kInt64:
-      return "I:" + std::to_string(v.AsInt64());
-    case DataType::kDouble:
-      return StrFormat("D:%.17g", v.AsDouble());
-    case DataType::kString:
-      return "S:" + Escape(v.AsString());
-  }
-  return "N";
-}
-
-Result<Value> DecodeValue(const std::string& text) {
-  if (text.empty()) return Status::InvalidArgument("empty view cell");
-  if (text == "N") return Value::Null();
-  if (text.size() < 2 || text[1] != ':') {
-    return Status::InvalidArgument("malformed view cell: " + text);
-  }
-  std::string payload = text.substr(2);
-  switch (text[0]) {
-    case 'B':
-      return Value(payload == "1");
-    case 'I': {
-      int64_t v = 0;
-      if (!ParseInt64(payload, &v)) {
-        return Status::InvalidArgument("bad int cell: " + text);
-      }
-      return Value(v);
-    }
-    case 'D': {
-      double v = 0;
-      if (!ParseDouble(payload, &v)) {
-        return Status::InvalidArgument("bad double cell: " + text);
-      }
-      return Value(v);
-    }
-    case 'S': {
-      EVA_ASSIGN_OR_RETURN(std::string s, Unescape(payload));
-      return Value(std::move(s));
-    }
-    default:
-      return Status::InvalidArgument("unknown view cell tag: " + text);
-  }
-}
-
 std::string RecoveryReport::Summary() const {
-  std::string out = legacy ? std::string("legacy v1 directory")
-                           : StrFormat("generation %lld",
-                                       static_cast<long long>(generation));
+  std::string out =
+      StrFormat("generation %lld", static_cast<long long>(generation));
   if (clean() && tmp_removed == 0) return out + ", clean";
   if (manifest_corrupt) out += ", MANIFEST corrupt (quarantined)";
   if (!quarantined.empty()) {
@@ -1022,11 +896,33 @@ std::string RecoveryReport::Summary() const {
 }
 
 Status SaveSession(const ViewStore& store, const udf::UdfManager& manager,
-                   const std::string& dir, fault::FaultFs* fs,
-                   const SaveOptions& options) {
+                   const std::string& dir, fault::FaultFs* fs) {
   fault::FaultFs plain;
   if (fs == nullptr) fs = &plain;
-  return SaveImpl(store, &manager, dir, fs, options);
+  EVA_RETURN_IF_ERROR(fs->CreateDirs(dir));
+  Manifest old;
+  EVA_ASSIGN_OR_RETURN(ManifestState old_state, ReadManifest(dir, fs, &old));
+  Manifest next;
+  next.generation =
+      (old_state == ManifestState::kValid ? old.generation : 0) + 1;
+  const std::string gen_tag = ".g" + std::to_string(next.generation);
+  auto write_atomic = [&](const std::string& file,
+                          const std::string& body) -> Status {
+    const std::string path = JoinPath(dir, file);
+    EVA_RETURN_IF_ERROR(fs->WriteFile(path + ".tmp", body));
+    return fs->Rename(path + ".tmp", path);
+  };
+  for (const auto& [name, view] : store.views()) {
+    const std::string body = SerializeViewSegments(name, *view);
+    const std::string file = SanitizeFilename(name) + gen_tag + ".evaseg";
+    EVA_RETURN_IF_ERROR(write_atomic(file, body));
+    next.entries.push_back({file, body.size(), Crc32(body), false, name});
+  }
+  const std::string body = SerializeLifecycle(store, manager);
+  const std::string file = "lifecycle" + gen_tag + ".evastate";
+  EVA_RETURN_IF_ERROR(write_atomic(file, body));
+  next.entries.push_back({file, body.size(), Crc32(body), true, ""});
+  return CommitManifest(dir, next, fs);
 }
 
 Result<int64_t> ManifestGeneration(const std::string& dir,
@@ -1046,13 +942,8 @@ Result<int64_t> ManifestGeneration(const std::string& dir,
   return Status::Internal("corrupt MANIFEST in " + dir);
 }
 
-Status SaveViewStore(const ViewStore& store, const std::string& dir) {
-  fault::FaultFs plain;
-  return SaveImpl(store, nullptr, dir, &plain);
-}
-
-Status LoadViewStoreEx(const std::string& dir, ViewStore* store,
-                       fault::FaultFs* fs, RecoveryReport* report) {
+Status LoadViewFiles(const std::string& dir, ViewStore* store,
+                     fault::FaultFs* fs, RecoveryReport* report) {
   fault::FaultFs plain;
   if (fs == nullptr) fs = &plain;
   std::error_code ec;
@@ -1062,49 +953,10 @@ Status LoadViewStoreEx(const std::string& dir, ViewStore* store,
   Manifest manifest;
   EVA_ASSIGN_OR_RETURN(ManifestState state,
                        ReadManifest(dir, fs, &manifest));
-  if (state == ManifestState::kValid) {
-    report->generation = manifest.generation;
-    std::set<std::string> listed = {"MANIFEST"};
-    for (const ManifestEntry& e : manifest.entries) listed.insert(e.file);
-    for (const ManifestEntry& e : manifest.entries) {
-      if (e.is_lifecycle) continue;
-      auto res = fs->ReadFile(JoinPath(dir, e.file));
-      if (!res.ok()) {
-        if (fs->halted()) return res.status();
-        EVA_RETURN_IF_ERROR(Quarantine(fs, dir, e.file, e.view_name,
-                                       "unreadable: " + res.status().message(),
-                                       report));
-        continue;
-      }
-      const std::string& body = res.value();
-      if (body.size() != e.size || Crc32(body) != e.crc) {
-        EVA_RETURN_IF_ERROR(Quarantine(fs, dir, e.file, e.view_name,
-                                       "checksum mismatch", report));
-        continue;
-      }
-      Status parsed = e.is_segment ? ParseSegmentBody(body, e.file, store)
-                                   : ParseViewBody(body, e.file, store);
-      if (!parsed.ok()) {
-        EVA_RETURN_IF_ERROR(Quarantine(fs, dir, e.file, e.view_name,
-                                       parsed.message(), report));
-      }
-    }
-    // Sweep: tmp files are leftovers of an interrupted save (the rename
-    // never happened) and are simply removed; managed files the manifest
-    // does not list were never committed and cannot be trusted.
-    for (const std::string& name : ListFiles(dir)) {
-      if (listed.count(name) > 0 || !IsManagedFile(name)) continue;
-      if (EndsWith(name, ".quarantined")) continue;
-      if (EndsWith(name, ".tmp")) {
-        Status st = fs->Remove(JoinPath(dir, name));
-        if (!st.ok() && fs->halted()) return st;
-        if (st.ok()) ++report->tmp_removed;
-        continue;
-      }
-      EVA_RETURN_IF_ERROR(
-          Quarantine(fs, dir, name, "", "not in manifest", report));
-    }
-    return Status::OK();
+  if (state == ManifestState::kAbsent) {
+    // Nothing was ever committed here (or a first save died before its
+    // MANIFEST): no file can be verified, so none loads.
+    return SweepUnlisted(fs, dir, {}, "not in manifest", report);
   }
   if (state == ManifestState::kCorrupt) {
     // A torn or bit-flipped manifest means nothing in the directory can be
@@ -1113,49 +965,39 @@ Status LoadViewStoreEx(const std::string& dir, ViewStore* store,
     report->manifest_corrupt = true;
     EVA_RETURN_IF_ERROR(
         Quarantine(fs, dir, "MANIFEST", "", "manifest corrupt", report));
-    for (const std::string& name : ListFiles(dir)) {
-      if (name == "MANIFEST" || !IsManagedFile(name)) continue;
-      if (EndsWith(name, ".quarantined")) continue;
-      if (EndsWith(name, ".tmp")) {
-        Status st = fs->Remove(JoinPath(dir, name));
-        if (!st.ok() && fs->halted()) return st;
-        if (st.ok()) ++report->tmp_removed;
-        continue;
-      }
-      EVA_RETURN_IF_ERROR(
-          Quarantine(fs, dir, name, "", "manifest corrupt", report));
-    }
-    return Status::OK();
+    return SweepUnlisted(fs, dir, {"MANIFEST"}, "manifest corrupt", report);
   }
-  // No MANIFEST: a pre-v2 (legacy) directory, loaded best-effort with no
-  // checksums to lean on. Files that fail to parse are quarantined rather
-  // than aborting the whole load (the v1 behavior).
-  report->legacy = true;
-  for (const std::string& name : ListFiles(dir)) {
-    if (EndsWith(name, ".tmp")) {
-      Status st = fs->Remove(JoinPath(dir, name));
-      if (!st.ok() && fs->halted()) return st;
-      if (st.ok()) ++report->tmp_removed;
-      continue;
-    }
-    const bool is_segment = EndsWith(name, ".evaseg");
-    if (!EndsWith(name, ".evaview") && !is_segment) continue;
-    auto res = fs->ReadFile(JoinPath(dir, name));
+  report->generation = manifest.generation;
+  std::set<std::string> listed = {"MANIFEST"};
+  for (const ManifestEntry& e : manifest.entries) listed.insert(e.file);
+  for (const ManifestEntry& e : manifest.entries) {
+    if (e.is_lifecycle) continue;
+    auto res = fs->ReadFile(JoinPath(dir, e.file));
     if (!res.ok()) {
       if (fs->halted()) return res.status();
-      EVA_RETURN_IF_ERROR(Quarantine(fs, dir, name, "",
+      EVA_RETURN_IF_ERROR(Quarantine(fs, dir, e.file, e.view_name,
                                      "unreadable: " + res.status().message(),
                                      report));
       continue;
     }
-    Status parsed = is_segment ? ParseSegmentBody(res.value(), name, store)
-                               : ParseViewBody(res.value(), name, store);
+    const std::string& body = res.value();
+    if (body.size() != e.size || Crc32(body) != e.crc) {
+      EVA_RETURN_IF_ERROR(Quarantine(fs, dir, e.file, e.view_name,
+                                     "checksum mismatch", report));
+      continue;
+    }
+    // A listed file the reader cannot parse (an older format, or a writer
+    // bug the CRC cannot see) is quarantined; LoadSession retracts its
+    // view's coverage.
+    Status parsed = ParseSegmentBody(body, e.file, store);
     if (!parsed.ok()) {
-      EVA_RETURN_IF_ERROR(
-          Quarantine(fs, dir, name, "", parsed.message(), report));
+      EVA_RETURN_IF_ERROR(Quarantine(fs, dir, e.file, e.view_name,
+                                     parsed.message(), report));
     }
   }
-  return Status::OK();
+  // Managed files the manifest does not list were never committed and
+  // cannot be trusted.
+  return SweepUnlisted(fs, dir, listed, "not in manifest", report);
 }
 
 Status LoadLifecycleStateEx(const std::string& dir, ViewStore* store,
@@ -1168,42 +1010,24 @@ Status LoadLifecycleStateEx(const std::string& dir, ViewStore* store,
   Manifest manifest;
   EVA_ASSIGN_OR_RETURN(ManifestState state,
                        ReadManifest(dir, fs, &manifest));
-  std::string file;
-  std::string content;
-  if (state == ManifestState::kValid) {
-    const ManifestEntry* entry = nullptr;
-    for (const ManifestEntry& e : manifest.entries) {
-      if (e.is_lifecycle) entry = &e;
-    }
-    if (entry == nullptr) return Status::OK();  // views-only save
-    file = entry->file;
-    auto res = fs->ReadFile(JoinPath(dir, file));
-    if (!res.ok()) {
-      if (fs->halted()) return res.status();
-      return Quarantine(fs, dir, file, "",
-                        "unreadable: " + res.status().message(), report);
-    }
-    content = std::move(res.value());
-    if (content.size() != entry->size || Crc32(content) != entry->crc) {
-      return Quarantine(fs, dir, file, "", "checksum mismatch", report);
-    }
-  } else if (state == ManifestState::kCorrupt) {
-    // LoadViewStoreEx already quarantined everything reachable; without a
-    // trustworthy manifest no coverage may be installed (underclaim).
-    return Status::OK();
-  } else {
-    // Legacy v1 layout: fixed filename, no checksum.
-    file = "lifecycle.evastate";
-    auto res = fs->ReadFile(JoinPath(dir, file));
-    if (!res.ok()) {
-      if (fs->halted()) return res.status();
-      if (res.status().code() == StatusCode::kNotFound) {
-        return Status::OK();  // pre-lifecycle save dir
-      }
-      return Quarantine(fs, dir, file, "",
-                        "unreadable: " + res.status().message(), report);
-    }
-    content = std::move(res.value());
+  // Without a trustworthy manifest no coverage may be installed
+  // (underclaim); LoadViewFiles quarantined whatever was there.
+  if (state != ManifestState::kValid) return Status::OK();
+  const ManifestEntry* entry = nullptr;
+  for (const ManifestEntry& e : manifest.entries) {
+    if (e.is_lifecycle) entry = &e;
+  }
+  if (entry == nullptr) return Status::OK();
+  const std::string& file = entry->file;
+  auto res = fs->ReadFile(JoinPath(dir, file));
+  if (!res.ok()) {
+    if (fs->halted()) return res.status();
+    return Quarantine(fs, dir, file, "",
+                      "unreadable: " + res.status().message(), report);
+  }
+  const std::string& content = res.value();
+  if (content.size() != entry->size || Crc32(content) != entry->crc) {
+    return Quarantine(fs, dir, file, "", "checksum mismatch", report);
   }
   LifecycleStaged staged;
   Status parsed = ParseLifecycleBody(content, file, &staged);
@@ -1216,18 +1040,13 @@ Status LoadLifecycleStateEx(const std::string& dir, ViewStore* store,
   return Status::OK();
 }
 
-Status LoadViewStore(const std::string& dir, ViewStore* store) {
-  RecoveryReport report;
-  return LoadViewStoreEx(dir, store, nullptr, &report);
-}
-
 Result<RecoveryReport> LoadSession(const std::string& dir, ViewStore* store,
                                    udf::UdfManager* manager,
                                    fault::FaultFs* fs) {
   fault::FaultFs plain;
   if (fs == nullptr) fs = &plain;
   RecoveryReport report;
-  EVA_RETURN_IF_ERROR(LoadViewStoreEx(dir, store, fs, &report));
+  EVA_RETURN_IF_ERROR(LoadViewFiles(dir, store, fs, &report));
   EVA_RETURN_IF_ERROR(
       LoadLifecycleStateEx(dir, store, manager, fs, &report));
   if (manager != nullptr) {

@@ -12,18 +12,16 @@
 namespace eva::storage {
 
 /// Crash-safe persistence for materialized UDF views (the paper stores
-/// views on disk next to the Parquet-encoded video, §4.2/§5.2), format v2
+/// views on disk next to the Parquet-encoded video, §4.2/§5.2)
 /// (docs/RELIABILITY.md).
 ///
 /// A save directory holds one file per view plus the lifecycle state,
 /// both named with a generation number, and a MANIFEST that commits the
 /// generation atomically:
 ///
-///   <name>.g<G>.evaview        view data, text (same line format as v1)
-///   <name>.g<G>.evaseg         view data, binary codec form (compressed
-///                              sealed segments; written instead of the
-///                              .evaview file when SaveOptions requests it)
-///   lifecycle.g<G>.evastate    segment stamps + coverage (same as v1)
+///   <name>.g<G>.evaseg         view data: every sealed segment's keys and
+///                              column lanes, in the binary column codec
+///   lifecycle.g<G>.evastate    segment stamps + coverage (text)
 ///   MANIFEST                   generation + per-file size and CRC32
 ///
 /// Every file is written as `<file>.tmp`, fsynced, then renamed; the
@@ -31,20 +29,13 @@ namespace eva::storage {
 /// leaves the previous generation fully loadable — the new generation's
 /// files are ignored (and quarantined) because the MANIFEST never came to
 /// claim them. Committing the MANIFEST also garbage-collects every managed
-/// file it does not list, which is what removes stale `.evaview` files of
-/// dropped or fully-evicted views (they used to silently resurrect on
-/// reload) and the previous generation.
+/// file it does not list, which is what removes stale view files of
+/// dropped or fully-evicted views and the previous generation.
 ///
-/// View file line format (unchanged from v1):
-///
-///   eva-view 1
-///   name <view name>
-///   schema <n> <col> <type> ...
-///   key <frame> <obj> <num_rows>
-///   row <cell> <cell> ...
-///
-/// Cells are type-prefixed (`N`, `B:`, `I:`, `D:`, `S:`); string cells are
-/// percent-escaped so whitespace survives the round trip.
+/// The column codec (a `.evaseg` segment block: key index + one lane per
+/// value field) is the only form view rows take outside memory: the WAL's
+/// segment_append records carry the same block with plain lanes
+/// (WriteKeyedRows / ReadKeyedRows, src/wal/).
 
 /// One file set aside during recovery (renamed to `<file>.quarantined`).
 struct QuarantinedFile {
@@ -59,7 +50,6 @@ struct QuarantinedFile {
 /// (§4.1 soundness).
 struct RecoveryReport {
   int64_t generation = 0;  // manifest generation loaded; 0 = none
-  bool legacy = false;     // pre-v2 directory (no MANIFEST)
   bool manifest_corrupt = false;
   std::vector<QuarantinedFile> quarantined;
   std::vector<std::string> retracted;  // coverage keys retracted
@@ -70,28 +60,19 @@ struct RecoveryReport {
   std::string Summary() const;
 };
 
-/// Save-path configuration. `compressed_segments` writes each view as a
-/// binary `.evaseg` codec file (sealed-segment encodings + bit-packed key
-/// index, docs/STORAGE.md) instead of the text `.evaview` form. Loading
-/// accepts either — a dir saved without compression still loads into a
-/// compression-enabled engine and vice versa.
-struct SaveOptions {
-  bool compressed_segments = false;
-};
-
 /// Saves views + lifecycle state as one new generation with a single
 /// MANIFEST commit — the engine's save path. All filesystem traffic goes
 /// through `fs` (pass nullptr for a plain pass-through shim).
 Status SaveSession(const ViewStore& store, const udf::UdfManager& manager,
-                   const std::string& dir, fault::FaultFs* fs = nullptr,
-                   const SaveOptions& options = {});
+                   const std::string& dir, fault::FaultFs* fs = nullptr);
 
 /// Loads a save directory with full recovery: verifies the MANIFEST and
 /// every file's size/CRC32, quarantines what fails (or was never
 /// manifested), removes leftover `.tmp` files, and retracts the symbolic
 /// coverage of every quarantined view so reuse never overclaims. A
-/// directory without a MANIFEST loads best-effort as legacy v1. Returns
-/// NotFound only when `dir` itself is missing.
+/// directory without a MANIFEST loads nothing: its managed files are
+/// quarantined as "not in manifest". Returns NotFound only when `dir`
+/// itself is missing.
 Result<RecoveryReport> LoadSession(const std::string& dir, ViewStore* store,
                                    udf::UdfManager* manager,
                                    fault::FaultFs* fs = nullptr);
@@ -103,25 +84,13 @@ Result<RecoveryReport> LoadSession(const std::string& dir, ViewStore* store,
 Result<int64_t> ManifestGeneration(const std::string& dir,
                                    fault::FaultFs* fs = nullptr);
 
-/// Views-only save and load (tests): SaveViewStore commits a manifest
-/// without lifecycle state; LoadViewStore is LoadViewStoreEx without a
-/// report.
-Status SaveViewStore(const ViewStore& store, const std::string& dir);
-Status LoadViewStore(const std::string& dir, ViewStore* store);
-
 /// The two halves of LoadSession, exposed for the recovery tests. `fs` may
 /// be nullptr; `report` accumulates.
-Status LoadViewStoreEx(const std::string& dir, ViewStore* store,
-                       fault::FaultFs* fs, RecoveryReport* report);
+Status LoadViewFiles(const std::string& dir, ViewStore* store,
+                     fault::FaultFs* fs, RecoveryReport* report);
 Status LoadLifecycleStateEx(const std::string& dir, ViewStore* store,
                             udf::UdfManager* manager, fault::FaultFs* fs,
                             RecoveryReport* report);
-
-/// Cell encoding helpers (exposed for tests). DecodeValue returns a
-/// Status error on malformed input — it never throws, even on overflowing
-/// numerals or bad escapes (reader_fuzz_test).
-std::string EncodeValue(const Value& v);
-Result<Value> DecodeValue(const std::string& text);
 
 /// Binary `.evaseg` body for one view: every sealed segment's keys and
 /// codec-encoded columns (seals open rows first; runs between queries).
@@ -138,6 +107,16 @@ std::string SerializeViewSegments(const std::string& name,
 /// (reader_fuzz_test).
 Status ParseSegmentBody(const std::string& content, const std::string& file,
                         ViewStore* store);
+
+/// The WAL segment_append body: one `.evaseg` segment block over `rows`
+/// (keys in the given order, plain lanes written by the same column
+/// writer). ReadKeyedRows validates the block as ParseSegmentBody does,
+/// but for key order (`num_cols` lanes, each as long as the row total,
+/// codes and counts in range) and returns false on any malformed byte,
+/// leaving `rows` unusable.
+void WriteKeyedRows(ByteWriter* w, const MaterializedView::KeyedRows& rows);
+bool ReadKeyedRows(ByteReader* r, size_t num_cols,
+                   MaterializedView::KeyedRows* rows);
 
 }  // namespace eva::storage
 

@@ -7,7 +7,7 @@ namespace {
 // Rows [begin, end) of a column set — a sealed segment's ColumnVecs or an
 // open builder's ColumnBuilders — as value rows.
 template <typename Cols>
-std::vector<Row> CopyRows(const Cols& cols, int32_t begin, int32_t end) {
+std::vector<Row> RowsOf(const Cols& cols, int32_t begin, int32_t end) {
   std::vector<Row> rows;
   rows.reserve(static_cast<size_t>(end - begin));
   for (int32_t r = begin; r < end; ++r) {
@@ -44,13 +44,13 @@ std::optional<std::vector<Row>> MaterializedView::TryGet(
   if (it == segments_.end()) return std::nullopt;
   const Segment& s = it->second;
   if (size_t idx = FindSealed(s, key); idx != ColumnarSegment::npos) {
-    return CopyRows(s.sealed->cols, s.sealed->row_begin_at(idx),
-                    s.sealed->row_begin_at(idx + 1));
+    return RowsOf(s.sealed->cols, s.sealed->row_begin_at(idx),
+                  s.sealed->row_begin_at(idx + 1));
   }
   const size_t k = s.open != nullptr ? s.open->Find(key) : SegmentBuilder::npos;
   if (k == SegmentBuilder::npos) return std::nullopt;
-  return CopyRows(s.open->cols(), s.open->row_begin(k),
-                  s.open->row_begin(k + 1));
+  return RowsOf(s.open->cols(), s.open->row_begin(k),
+                s.open->row_begin(k + 1));
 }
 
 int64_t MaterializedView::Put(std::span<const KeyRows> keys,
@@ -116,6 +116,50 @@ int64_t MaterializedView::Put(std::span<const KeyRows> keys,
   return count;
 }
 
+void MaterializedView::CopyRows(std::span<const ViewKey> keys,
+                                KeyedRows* out) const {
+  out->keys.clear();
+  out->cols.assign(value_schema_.num_fields(), ColumnBuilder());
+  // Cells [begin, end) of every column of `src` onto the output lanes.
+  auto append = [out](const auto& src, int32_t begin, int32_t end) {
+    for (size_t c = 0; c < out->cols.size(); ++c) {
+      out->cols[c].AppendRange(src[c], static_cast<size_t>(begin),
+                               static_cast<size_t>(end - begin));
+    }
+    return static_cast<uint32_t>(end - begin);
+  };
+  uint32_t total = 0;
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto it = segments_.end();
+  int64_t cur_id = 0;
+  size_t cursor = 0;
+  for (const ViewKey& key : keys) {
+    const int64_t seg_id = SegmentOf(key.frame);
+    if (it == segments_.end() || seg_id != cur_id) {
+      cur_id = seg_id;
+      it = segments_.find(seg_id);
+      cursor = 0;
+      if (it == segments_.end()) continue;
+    }
+    const Segment& s = it->second;
+    uint32_t n = 0;
+    if (size_t idx = FindSealed(s, key, &cursor);
+        idx != ColumnarSegment::npos) {
+      n = append(s.sealed->cols, s.sealed->row_begin_at(idx),
+                 s.sealed->row_begin_at(idx + 1));
+    } else if (size_t k = s.open != nullptr ? s.open->Find(key)
+                                             : SegmentBuilder::npos;
+               k != SegmentBuilder::npos) {
+      n = append(s.open->cols(), s.open->row_begin(k),
+                 s.open->row_begin(k + 1));
+    } else {
+      continue;
+    }
+    out->keys.push_back({key, total, total + n});
+    total += n;
+  }
+}
+
 bool MaterializedView::Put(const ViewKey& key, const std::vector<Row>& rows,
                            uint64_t tick, int64_t query_id) {
   std::vector<ColumnBuilder> cols(value_schema_.num_fields());
@@ -148,7 +192,7 @@ void MaterializedView::AdoptSegment(const std::vector<ViewKey>& keys,
   if (!adoptable) {
     lock.unlock();
     for (size_t i = 0; i < keys.size(); ++i) {
-      Put(keys[i], CopyRows(cols, row_begin[i], row_begin[i + 1]));
+      Put(keys[i], RowsOf(cols, row_begin[i], row_begin[i + 1]));
     }
     return;
   }

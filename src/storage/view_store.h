@@ -192,7 +192,22 @@ class MaterializedView {
   int64_t Put(std::span<const KeyRows> keys, std::span<const uint32_t> sel,
               std::span<const ColumnBuilder> cols, uint64_t first_tick,
               int64_t query_id, std::vector<uint8_t>* inserted);
-  /// Convenience form over whole value rows (replay, reload, tests): row
+  /// Keys with their rows as column lanes: the rows of keys[i] are cells
+  /// [keys[i].begin, keys[i].end) of every column (a KeyRows selection
+  /// over the identity).
+  struct KeyedRows {
+    std::vector<KeyRows> keys;
+    std::vector<ColumnBuilder> cols;  // one per value field
+  };
+
+  /// Copies the rows of `keys` that are present, in the given order, lane
+  /// to lane out of the sealed and open parts into `out` (absent keys are
+  /// skipped) — the WAL's read-back of appended keys. A pure read: it
+  /// seals nothing, and leaves the read flags, access stamps and probe
+  /// counters alone, so logging never changes the view's accounting.
+  void CopyRows(std::span<const ViewKey> keys, KeyedRows* out) const;
+
+  /// Convenience form over whole value rows (reload, tests): row
   /// i's cell c goes to column c, cells past the end of a row are NULL.
   /// Returns whether the key was inserted.
   bool Put(const ViewKey& key, const std::vector<Row>& rows,

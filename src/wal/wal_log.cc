@@ -108,17 +108,17 @@ WalRecord CheckpointRecord(
   std::ostringstream os;
   os << "generation " << generation << "\n";
   for (const auto& [source, visible] : horizons) {
-    os << "source " << WalEscape(source) << " " << visible << "\n";
+    os << "source " << PercentEscape(source) << " " << visible << "\n";
   }
   return {WalRecordType::kCheckpoint, os.str()};
 }
 
 WalRecord ViewAdmissionRecord(const std::string& view, const Schema& schema) {
   std::ostringstream os;
-  os << "view " << WalEscape(view) << "\n";
+  os << "view " << PercentEscape(view) << "\n";
   os << "schema " << schema.num_fields();
   for (const Field& f : schema.fields()) {
-    os << " " << WalEscape(f.name) << " " << DataTypeName(f.type);
+    os << " " << PercentEscape(f.name) << " " << DataTypeName(f.type);
   }
   os << "\n";
   return {WalRecordType::kViewAdmission, os.str()};
@@ -126,27 +126,19 @@ WalRecord ViewAdmissionRecord(const std::string& view, const Schema& schema) {
 
 WalRecord SegmentAppendRecord(
     const std::string& view, int64_t query_id,
-    const std::vector<std::pair<storage::ViewKey, std::vector<Row>>>&
-        entries) {
-  std::ostringstream os;
-  os << "view " << WalEscape(view) << " " << query_id << "\n";
-  for (const auto& [key, rows] : entries) {
-    os << "key " << key.frame << " " << key.obj << " " << rows.size()
-       << "\n";
-    for (const Row& row : rows) {
-      os << "row";
-      for (const Value& v : row) os << " " << storage::EncodeValue(v);
-      os << "\n";
-    }
-  }
-  return {WalRecordType::kSegmentAppend, os.str()};
+    const storage::MaterializedView::KeyedRows& rows) {
+  storage::ByteWriter w;
+  w.Str(view);
+  w.Zigzag(query_id);
+  storage::WriteKeyedRows(&w, rows);
+  return {WalRecordType::kSegmentAppend, w.Take()};
 }
 
 namespace {
 WalRecord CoverageRecord(WalRecordType type, const std::string& key,
                          const symbolic::Predicate& q) {
   std::ostringstream os;
-  os << "key " << WalEscape(key) << "\n";
+  os << "key " << PercentEscape(key) << "\n";
   os << "pred " << symbolic::EncodePredicate(q) << "\n";
   return {type, os.str()};
 }
@@ -170,7 +162,7 @@ WalRecord CoverageRetractionRecord(const std::string& key,
 WalRecord ViewEvictionRecord(const std::string& view, int64_t segment_id,
                              int64_t first_frame, int64_t frame_end) {
   std::ostringstream os;
-  os << "view " << WalEscape(view) << " " << segment_id << " " << first_frame
+  os << "view " << PercentEscape(view) << " " << segment_id << " " << first_frame
      << " " << frame_end << "\n";
   return {WalRecordType::kViewEviction, os.str()};
 }
@@ -178,7 +170,7 @@ WalRecord ViewEvictionRecord(const std::string& view, int64_t segment_id,
 WalRecord IngestAdvanceRecord(const std::string& source, int64_t visible,
                               int64_t flushed) {
   std::ostringstream os;
-  os << "source " << WalEscape(source) << " " << visible << " " << flushed
+  os << "source " << PercentEscape(source) << " " << visible << " " << flushed
      << "\n";
   return {WalRecordType::kIngestAdvance, os.str()};
 }
@@ -205,50 +197,6 @@ Status WalWriter::Commit(fault::FaultFs* fs) {
 void WalWriter::DiscardStaged() {
   pending_.clear();
   staged_records_ = 0;
-}
-
-// --- payload token helpers -----------------------------------------------
-
-std::string WalEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    if (c <= ' ' || c == '%' || c == 0x7f) {
-      out += StrFormat("%%%02X", c);
-    } else {
-      out.push_back(static_cast<char>(c));
-    }
-  }
-  if (out.empty()) out = "%00";  // empty token would break line splitting
-  return out;
-}
-
-Result<std::string> WalUnescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out.push_back(s[i]);
-      continue;
-    }
-    if (i + 2 >= s.size()) {
-      return Status::InvalidArgument("truncated escape in: " + s);
-    }
-    auto hex = [](char c) -> int {
-      if (c >= '0' && c <= '9') return c - '0';
-      if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-      if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-      return -1;
-    };
-    int hi = hex(s[i + 1]), lo = hex(s[i + 2]);
-    if (hi < 0 || lo < 0) {
-      return Status::InvalidArgument("bad escape in: " + s);
-    }
-    char c = static_cast<char>(hi * 16 + lo);
-    if (c != '\0') out.push_back(c);  // %00 encodes the empty token
-    i += 2;
-  }
-  return out;
 }
 
 }  // namespace eva::wal

@@ -6,10 +6,9 @@
 #include <utility>
 #include <vector>
 
-#include "common/row.h"
 #include "common/status.h"
 #include "fault/fault_fs.h"
-#include "storage/column_segment.h"
+#include "storage/view_store.h"
 #include "symbolic/predicate.h"
 
 namespace eva::wal {
@@ -27,14 +26,16 @@ namespace eva::wal {
 /// quarantines it — a WAL never needs a tmp+rename to stay consistent,
 /// append+fsync is the commit primitive).
 ///
-/// Payloads are line-oriented text reusing the persistence idiom
-/// (percent-escaped tokens, EncodeValue cells, EncodePredicate coverage),
-/// so `strings wal.g3.evalog` stays debuggable while the framing stays
-/// binary-safe.
+/// A segment_append payload is binary: the view name, the query id and one
+/// `.evaseg` segment block of the appended keys with plain column lanes —
+/// the same column codec a save writes (storage::WriteKeyedRows). The
+/// other payloads are short text lines (percent-escaped tokens,
+/// EncodePredicate coverage), so `strings wal.g3.evalog` still shows the
+/// log's structure.
 enum class WalRecordType : uint8_t {
   kCheckpoint = 1,       // generation + per-source visible horizons
   kViewAdmission = 2,    // view name + value schema
-  kSegmentAppend = 3,    // one view segment's new (key, rows) entries
+  kSegmentAppend = 3,    // one view segment's new keys + column lanes
   kCoverageUnion = 4,    // p_u <- Union(p_u, q)
   kCoverageSet = 5,      // p_u <- q wholesale (failure-path rollback)
   kCoverageRetraction = 6,  // p_u <- Subtract(p_u, q) (recovery guard)
@@ -77,12 +78,10 @@ WalRecord CheckpointRecord(
 
 WalRecord ViewAdmissionRecord(const std::string& view, const Schema& schema);
 
-/// One (view, segment) group of freshly materialized entries, each key
-/// with the rows the view store holds for it.
-WalRecord SegmentAppendRecord(
-    const std::string& view, int64_t query_id,
-    const std::vector<std::pair<storage::ViewKey, std::vector<Row>>>&
-        entries);
+/// One (view, segment) group of freshly materialized keys with the rows
+/// the view store holds for them (MaterializedView::CopyRows).
+WalRecord SegmentAppendRecord(const std::string& view, int64_t query_id,
+                              const storage::MaterializedView::KeyedRows& rows);
 
 WalRecord CoverageUnionRecord(const std::string& key,
                               const symbolic::Predicate& q);
@@ -130,13 +129,6 @@ class WalWriter {
   uint64_t committed_records_ = 0;
   uint64_t committed_bytes_ = 0;
 };
-
-// --- payload token helpers (shared with replay/tests) --------------------
-
-/// Percent-escaping matching the persistence files: whitespace and '%'
-/// become %XX so arbitrary names survive space-separated lines.
-std::string WalEscape(const std::string& s);
-Result<std::string> WalUnescape(const std::string& s);
 
 }  // namespace eva::wal
 

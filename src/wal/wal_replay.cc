@@ -1,12 +1,13 @@
 #include "wal/wal_replay.h"
 
-#include <cerrno>
-#include <cstdlib>
+#include <numeric>
 #include <sstream>
 
+#include "common/num_parse.h"
 #include "common/string_util.h"
 #include "exec/exec_context.h"
 #include "lifecycle/view_lifecycle.h"
+#include "storage/segment_codec.h"
 #include "storage/view_persistence.h"
 #include "symbolic/dim_constraint.h"
 #include "symbolic/interval.h"
@@ -15,16 +16,6 @@
 namespace eva::wal {
 
 namespace {
-
-bool ParseInt64(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = static_cast<int64_t>(v);
-  return true;
-}
 
 std::vector<std::string> SplitLines(const std::string& payload) {
   std::vector<std::string> lines;
@@ -56,7 +47,7 @@ Status ApplyCheckpoint(const WalRecord& rec, catalog::Catalog* catalog) {
     if (!(is >> tag >> name_tok >> visible_tok) || tag != "source") {
       return Malformed(rec, "bad source line: " + lines[i]);
     }
-    EVA_ASSIGN_OR_RETURN(std::string name, WalUnescape(name_tok));
+    EVA_ASSIGN_OR_RETURN(std::string name, PercentUnescape(name_tok));
     int64_t visible = 0;
     if (!ParseInt64(visible_tok, &visible)) {
       return Malformed(rec, "bad horizon: " + lines[i]);
@@ -75,7 +66,7 @@ Status ApplyAdmission(const WalRecord& rec, storage::ViewStore* views) {
   if (lines.size() != 2 || !StartsWith(lines[0], "view ")) {
     return Malformed(rec, "expected view + schema lines");
   }
-  EVA_ASSIGN_OR_RETURN(std::string name, WalUnescape(lines[0].substr(5)));
+  EVA_ASSIGN_OR_RETURN(std::string name, PercentUnescape(lines[0].substr(5)));
   std::istringstream is(lines[1]);
   std::string tag;
   size_t n = 0;
@@ -88,7 +79,7 @@ Status ApplyAdmission(const WalRecord& rec, storage::ViewStore* views) {
     if (!(is >> col_tok >> type_tok)) {
       return Malformed(rec, "short schema line");
     }
-    EVA_ASSIGN_OR_RETURN(std::string col, WalUnescape(col_tok));
+    EVA_ASSIGN_OR_RETURN(std::string col, PercentUnescape(col_tok));
     DataType type = DataType::kNull;
     if (type_tok == "BOOL") {
       type = DataType::kBool;
@@ -109,19 +100,11 @@ Status ApplyAdmission(const WalRecord& rec, storage::ViewStore* views) {
 
 Status ApplyAppend(const WalRecord& rec, storage::ViewStore* views,
                    int64_t* keys_applied) {
-  auto lines = SplitLines(rec.payload);
-  if (lines.empty() || !StartsWith(lines[0], "view ")) {
-    return Malformed(rec, "missing view line");
-  }
-  std::istringstream head(lines[0].substr(5));
-  std::string name_tok, qid_tok;
-  if (!(head >> name_tok >> qid_tok)) {
-    return Malformed(rec, "bad view line");
-  }
-  EVA_ASSIGN_OR_RETURN(std::string name, WalUnescape(name_tok));
+  storage::ByteReader r(rec.payload);
+  std::string name;
   int64_t query_id = -1;
-  if (!ParseInt64(qid_tok, &query_id)) {
-    return Malformed(rec, "bad query id");
+  if (!r.Str(&name) || !r.Zigzag(&query_id)) {
+    return Malformed(rec, "bad view header");
   }
   storage::MaterializedView* view = views->Find(name);
   if (view == nullptr) {
@@ -129,40 +112,22 @@ Status ApplyAppend(const WalRecord& rec, storage::ViewStore* views,
     // every view, and appends within one file never precede it.
     return Malformed(rec, "append to unknown view " + name);
   }
-  const uint64_t tick = views->NextAccessTick();
-  size_t i = 1;
-  while (i < lines.size()) {
-    std::istringstream is(lines[i]);
-    std::string tag, frame_tok, obj_tok, nrows_tok;
-    if (!(is >> tag >> frame_tok >> obj_tok >> nrows_tok) || tag != "key") {
-      return Malformed(rec, "expected key line, got: " + lines[i]);
-    }
-    storage::ViewKey key;
-    int64_t nrows = 0;
-    if (!ParseInt64(frame_tok, &key.frame) ||
-        !ParseInt64(obj_tok, &key.obj) || !ParseInt64(nrows_tok, &nrows) ||
-        nrows < 0) {
-      return Malformed(rec, "bad key line: " + lines[i]);
-    }
-    ++i;
-    std::vector<Row> rows;
-    rows.reserve(static_cast<size_t>(nrows));
-    for (int64_t r = 0; r < nrows; ++r, ++i) {
-      if (i >= lines.size() || !StartsWith(lines[i], "row")) {
-        return Malformed(rec, "short row block");
-      }
-      Row row;
-      std::istringstream cells(lines[i].substr(3));
-      std::string cell;
-      while (cells >> cell) {
-        EVA_ASSIGN_OR_RETURN(Value v, storage::DecodeValue(cell));
-        row.push_back(std::move(v));
-      }
-      rows.push_back(std::move(row));
-    }
-    view->Put(key, std::move(rows), tick, query_id);
-    ++(*keys_applied);
+  // Decode and validate the whole record before installing any of it.
+  storage::MaterializedView::KeyedRows rows;
+  if (!storage::ReadKeyedRows(&r, view->value_schema().num_fields(),
+                              &rows) ||
+      !r.done()) {
+    return Malformed(rec, "corrupt row lanes for view " + name);
   }
+  std::vector<uint32_t> sel(rows.keys.empty() ? 0 : rows.keys.back().end);
+  std::iota(sel.begin(), sel.end(), 0u);
+  // Ticks as the live STORE draws them: one per inserted key, in order.
+  std::vector<uint8_t> inserted;
+  const int64_t stored =
+      view->Put(rows.keys, sel, rows.cols, views->current_tick() + 1,
+                query_id, &inserted);
+  if (stored > 0) views->NextAccessTicks(static_cast<uint64_t>(stored));
+  *keys_applied += static_cast<int64_t>(rows.keys.size());
   return Status::OK();
 }
 
@@ -178,7 +143,7 @@ Result<CoverageRecordBody> ParseCoverage(const WalRecord& rec) {
     return Malformed(rec, "expected key + pred lines");
   }
   CoverageRecordBody body;
-  EVA_ASSIGN_OR_RETURN(body.key, WalUnescape(lines[0].substr(4)));
+  EVA_ASSIGN_OR_RETURN(body.key, PercentUnescape(lines[0].substr(4)));
   EVA_ASSIGN_OR_RETURN(body.pred,
                        symbolic::DecodePredicate(lines[1].substr(5)));
   return body;
@@ -196,7 +161,7 @@ Status ApplyEviction(const WalRecord& rec, storage::ViewStore* views,
   if (!(is >> name_tok >> seg_tok >> first_tok >> end_tok)) {
     return Malformed(rec, "short view line");
   }
-  EVA_ASSIGN_OR_RETURN(std::string name, WalUnescape(name_tok));
+  EVA_ASSIGN_OR_RETURN(std::string name, PercentUnescape(name_tok));
   int64_t segment_id = 0, first = 0, end = 0;
   if (!ParseInt64(seg_tok, &segment_id) || !ParseInt64(first_tok, &first) ||
       !ParseInt64(end_tok, &end)) {
@@ -223,7 +188,7 @@ Status ApplyIngestAdvance(const WalRecord& rec, catalog::Catalog* catalog) {
   if (!(is >> name_tok >> visible_tok >> flushed_tok)) {
     return Malformed(rec, "short source line");
   }
-  EVA_ASSIGN_OR_RETURN(std::string name, WalUnescape(name_tok));
+  EVA_ASSIGN_OR_RETURN(std::string name, PercentUnescape(name_tok));
   int64_t visible = 0, flushed = 0;
   if (!ParseInt64(visible_tok, &visible) ||
       !ParseInt64(flushed_tok, &flushed)) {

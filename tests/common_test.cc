@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "common/row.h"
 #include "common/schema.h"
@@ -141,6 +144,29 @@ TEST(StringUtilTest, Basics) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_TRUE(StartsWith("vbench-high", "vbench"));
   EXPECT_EQ(StrFormat("%d/%s", 4, "x"), "4/x");
+}
+
+TEST(StringUtilTest, PercentEscapeRoundTrips) {
+  const std::vector<std::string> names = {
+      "Det@v",     "two words", "50%",          "tab\there",
+      "new\nline", "del\x7f",  std::string(1, '\0'), "",
+      "%",         "%%20",      " lead and trail "};
+  for (const std::string& name : names) {
+    const std::string token = PercentEscape(name);
+    EXPECT_FALSE(token.empty());
+    for (unsigned char c : token) {
+      EXPECT_TRUE(c > ' ' && c != 0x7f) << "unescaped byte in " << token;
+    }
+    auto back = PercentUnescape(token);
+    ASSERT_TRUE(back.ok()) << token;
+    EXPECT_EQ(back.value(), name) << token;
+  }
+  EXPECT_EQ(PercentEscape(""), "%");
+  EXPECT_EQ(PercentEscape("a b%"), "a%20b%25");
+  // Truncated and non-hex escapes fail instead of decoding to something.
+  for (const char* bad : {"%ZZ", "%2", "a%", "%G0", "x%0"}) {
+    EXPECT_FALSE(PercentUnescape(bad).ok()) << bad;
+  }
 }
 
 }  // namespace

@@ -55,7 +55,10 @@ class CrashRecoveryTest : public ::testing::Test {
   ~CrashRecoveryTest() override { stdfs::remove_all(root_); }
 
   std::unique_ptr<EvaEngine> MakeEva() {
-    auto er = vbench::MakeEngine(optimizer::ReuseMode::kEva, CrashVideo());
+    engine::EngineOptions options;
+    options.optimizer.mode = optimizer::ReuseMode::kEva;
+    options.segment_compression = compress_;
+    auto er = vbench::MakeEngine(options, CrashVideo());
     EXPECT_TRUE(er.ok()) << er.status().ToString();
     return er.MoveValue();
   }
@@ -97,6 +100,7 @@ class CrashRecoveryTest : public ::testing::Test {
   }
 
   stdfs::path root_;
+  bool compress_ = true;  // EngineOptions::segment_compression
 };
 
 TEST(FaultScheduleTest, ParsesActionsPatternsAndOccurrences) {
@@ -171,55 +175,62 @@ TEST(FaultInjectorTest, CountsPerPointAndLatchesOnCrash) {
 /// crash lands after the manifest commit) and the reloaded session must
 /// reuse everything — zero UDF time, rows bit-identical.
 TEST_F(CrashRecoveryTest, SaveCrashMatrixPreservesACompleteGeneration) {
-  const std::vector<std::string> baseline = Baseline();
-  auto engine = MakeEva();
-  for (const std::string& sql : SessionSql()) {
-    ASSERT_TRUE(engine->Execute(sql).ok());
-  }
-  const stdfs::path good = root_ / "good";
-  ASSERT_TRUE(engine->SaveViews(good.string()).ok());
+  // Both codec settings write the same file set; crash every point of
+  // each.
+  for (bool compress : {true, false}) {
+    compress_ = compress;
+    SCOPED_TRACE(compress ? "compression on" : "compression off");
+    const std::vector<std::string> baseline = Baseline();
+    auto engine = MakeEva();
+    for (const std::string& sql : SessionSql()) {
+      ASSERT_TRUE(engine->Execute(sql).ok());
+    }
+    const stdfs::path good = root_ / "good";
+    stdfs::remove_all(good);
+    ASSERT_TRUE(engine->SaveViews(good.string()).ok());
 
-  // Enumerate the fault points of a second save over generation 1 by
-  // recording one. Point names embed the generation number and the
-  // directory basename, so the recording save and every crashing save
-  // must start from the same directory state AND the same path.
-  const stdfs::path dir = root_ / "work";
-  CopyDir(good, dir);
-  engine->fault_injector()->set_recording(true);
-  ASSERT_TRUE(engine->SaveViews(dir.string()).ok());
-  std::vector<fault::FaultHit> points = engine->fault_injector()->hits();
-  engine->fault_injector()->set_recording(false);
-  engine->fault_injector()->Reset();
-  ASSERT_GE(points.size(), 8u) << "save consults too few fault points";
-
-  for (const fault::FaultHit& hit : points) {
-    const std::string label =
-        hit.point + "#" + std::to_string(hit.occurrence);
+    // Enumerate the fault points of a second save over generation 1 by
+    // recording one. Point names embed the generation number and the
+    // directory basename, so the recording save and every crashing save
+    // must start from the same directory state AND the same path.
+    const stdfs::path dir = root_ / "work";
     CopyDir(good, dir);
-    ASSERT_TRUE(engine
-                    ->SetFaultSchedule("crash@" + hit.point + "#" +
-                                       std::to_string(hit.occurrence))
-                    .ok());
-    Status s = engine->SaveViews(dir.string());
-    EXPECT_FALSE(s.ok()) << label << ": crashed save reported success";
-    ASSERT_TRUE(engine->SetFaultSchedule("").ok());
+    engine->fault_injector()->set_recording(true);
+    ASSERT_TRUE(engine->SaveViews(dir.string()).ok());
+    std::vector<fault::FaultHit> points = engine->fault_injector()->hits();
+    engine->fault_injector()->set_recording(false);
+    engine->fault_injector()->Reset();
+    ASSERT_GE(points.size(), 8u) << "save consults too few fault points";
 
-    auto fresh = MakeEva();
-    ASSERT_TRUE(fresh->LoadViews(dir.string()).ok())
-        << label << ": recovery load failed";
-    // Whatever generation survived holds the same fully-covered data.
-    const double udf_ms =
-        AssertSessionMatches(fresh.get(), baseline, "crash at " + label);
-    EXPECT_DOUBLE_EQ(udf_ms, 0.0)
-        << label << ": a complete generation should reuse everything "
-        << "(recovery: " << fresh->last_recovery().Summary() << ")";
+    for (const fault::FaultHit& hit : points) {
+      const std::string label =
+          hit.point + "#" + std::to_string(hit.occurrence);
+      CopyDir(good, dir);
+      ASSERT_TRUE(engine
+                      ->SetFaultSchedule("crash@" + hit.point + "#" +
+                                         std::to_string(hit.occurrence))
+                      .ok());
+      Status s = engine->SaveViews(dir.string());
+      EXPECT_FALSE(s.ok()) << label << ": crashed save reported success";
+      ASSERT_TRUE(engine->SetFaultSchedule("").ok());
+
+      auto fresh = MakeEva();
+      ASSERT_TRUE(fresh->LoadViews(dir.string()).ok())
+          << label << ": recovery load failed";
+      // Whatever generation survived holds the same fully-covered data.
+      const double udf_ms =
+          AssertSessionMatches(fresh.get(), baseline, "crash at " + label);
+      EXPECT_DOUBLE_EQ(udf_ms, 0.0)
+          << label << ": a complete generation should reuse everything "
+          << "(recovery: " << fresh->last_recovery().Summary() << ")";
+    }
   }
 }
 
 /// Crash at every fault point of a FIRST save into an empty directory.
-/// Anything recoverable afterwards (usually a partial set of complete view
-/// files with no manifest) may only underclaim: the session recomputes the
-/// gaps and returns exactly the baseline rows.
+/// What is left (usually a partial set of complete view files with no
+/// manifest) loads nothing — it is quarantined as never committed — so the
+/// session recomputes and returns exactly the baseline rows.
 TEST_F(CrashRecoveryTest, FirstSaveCrashMatrixNeverOverclaims) {
   const std::vector<std::string> baseline = Baseline();
   auto engine = MakeEva();
@@ -438,11 +449,11 @@ TEST_F(CrashRecoveryTest, CompressedSegmentWriteCrashKeepsPreviousGen) {
   }
 }
 
-/// Forward/backward format interop: a v2 directory saved WITHOUT segment
-/// compression (text .evaview files) loads into a compression-enabled
-/// engine with full reuse, and a compressed save loads into a
-/// compression-off engine the same way.
-TEST_F(CrashRecoveryTest, UncompressedV2DirectoryInteropLoads) {
+/// Saves are one format whatever the codec setting: an engine running
+/// without segment compression writes `.evaseg` files with plain lanes,
+/// which load into a compression-enabled engine with full reuse, and a
+/// compressed save loads into a compression-off engine the same way.
+TEST_F(CrashRecoveryTest, SavesLoadAcrossCompressionSettings) {
   const std::vector<std::string> baseline = Baseline();
   auto make = [&](bool compress) {
     engine::EngineOptions options;
@@ -455,20 +466,17 @@ TEST_F(CrashRecoveryTest, UncompressedV2DirectoryInteropLoads) {
   };
   for (bool save_compressed : {false, true}) {
     const stdfs::path dir =
-        root_ / (save_compressed ? "from_seg" : "from_text");
+        root_ / (save_compressed ? "from_compressed" : "from_plain");
     {
       auto writer = make(save_compressed);
       for (const std::string& sql : SessionSql()) {
         ASSERT_TRUE(writer->Execute(sql).ok());
       }
       ASSERT_TRUE(writer->SaveViews(dir.string()).ok());
-      // The format on disk matches the writer's configuration.
-      const std::string want = save_compressed ? ".evaseg" : ".evaview";
       bool found = false;
       for (const auto& entry : stdfs::directory_iterator(dir)) {
         const std::string name = entry.path().filename().string();
-        if (name.size() > want.size() &&
-            name.substr(name.size() - want.size()) == want) {
+        if (name.size() > 7 && name.substr(name.size() - 7) == ".evaseg") {
           found = true;
         }
       }
@@ -479,9 +487,9 @@ TEST_F(CrashRecoveryTest, UncompressedV2DirectoryInteropLoads) {
     EXPECT_TRUE(reader->last_recovery().clean());
     const double udf_ms = AssertSessionMatches(
         reader.get(), baseline,
-        save_compressed ? "seg save into text engine"
-                        : "text save into seg engine");
-    EXPECT_DOUBLE_EQ(udf_ms, 0.0) << "cross-format load must reuse fully";
+        save_compressed ? "compressed save into plain engine"
+                        : "plain save into compressed engine");
+    EXPECT_DOUBLE_EQ(udf_ms, 0.0) << "cross-setting load must reuse fully";
   }
 }
 

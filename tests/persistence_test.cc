@@ -2,13 +2,18 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/crc32.h"
+#include "common/string_util.h"
 #include "engine/eva_engine.h"
 #include "storage/view_persistence.h"
 #include "vbench/vbench.h"
@@ -28,24 +33,74 @@ class PersistenceTest : public ::testing::Test {
   }
   ~PersistenceTest() override { fs::remove_all(dir_); }
 
+  /// Saves `store` (with an empty coverage manager) as one generation.
+  Status Save(const ViewStore& store) {
+    udf::UdfManager manager;
+    return SaveSession(store, manager, dir_.string());
+  }
+
+  /// Loads the save directory into `store` and returns what recovery saw.
+  RecoveryReport Load(ViewStore* store) {
+    udf::UdfManager manager;
+    auto loaded = LoadSession(dir_.string(), store, &manager);
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    return loaded.ok() ? loaded.MoveValue() : RecoveryReport{};
+  }
+
+  /// Basenames in the save directory ending in `suffix`.
+  std::vector<std::string> FilesEndingIn(const std::string& suffix) const {
+    std::vector<std::string> out;
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      const std::string name = entry.path().filename().string();
+      if (name.size() > suffix.size() &&
+          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+              0) {
+        out.push_back(name);
+      }
+    }
+    return out;
+  }
+
   fs::path dir_;
 };
 
-TEST_F(PersistenceTest, ValueEncodingRoundTrips) {
-  const Value values[] = {Value::Null(),      Value(true),
-                          Value(false),       Value(int64_t{-42}),
-                          Value(0.3125),      Value("Nissan"),
-                          Value("two words"), Value("50%")};
-  for (const Value& v : values) {
-    auto decoded = DecodeValue(EncodeValue(v));
-    ASSERT_TRUE(decoded.ok()) << v.ToString();
-    EXPECT_TRUE(decoded.value() == v)
-        << v.ToString() << " -> " << EncodeValue(v) << " -> "
-        << decoded.value().ToString();
+// A column whose cells mix types is stored as a raw Value lane; the save
+// writes each cell as a type tag plus a binary payload, so every cell —
+// NULL, both bools, Int64 vs Double, NaN, -0.0, strings with whitespace,
+// '%', control bytes and the empty string — reads back exactly.
+TEST_F(PersistenceTest, MixedTypeLaneRoundTrips) {
+  const std::vector<Value> cells = {
+      Value::Null(),        Value(true),
+      Value(false),         Value(int64_t{-42}),
+      Value(int64_t{1} << 62), Value(0.3125),
+      Value(-0.0),          Value(std::numeric_limits<double>::quiet_NaN()),
+      Value("Nissan"),      Value("two words\t50%\n"),
+      Value(std::string("\x00\x7f", 2)), Value(""),
+  };
+  ViewStore store;
+  MaterializedView* view =
+      store.GetOrCreate("Mix@v", Schema({{"x", DataType::kString}}));
+  for (size_t i = 0; i < cells.size(); ++i) {
+    view->Put({static_cast<int64_t>(i), -1}, {{cells[i]}});
   }
-  EXPECT_FALSE(DecodeValue("").ok());
-  EXPECT_FALSE(DecodeValue("X:1").ok());
-  EXPECT_FALSE(DecodeValue("Bnocolon").ok());
+  ASSERT_TRUE(Save(store).ok());
+  ViewStore loaded;
+  EXPECT_TRUE(Load(&loaded).clean());
+  const MaterializedView* lv = loaded.Find("Mix@v");
+  ASSERT_NE(lv, nullptr);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    auto rows = lv->TryGet({static_cast<int64_t>(i), -1});
+    ASSERT_TRUE(rows.has_value() && rows->size() == 1) << i;
+    const Value& got = (*rows)[0][0];
+    ASSERT_EQ(got.type(), cells[i].type()) << i;
+    if (cells[i].type() == DataType::kDouble) {
+      const double want = cells[i].AsDouble();
+      const double have = got.AsDouble();
+      EXPECT_EQ(std::memcmp(&want, &have, sizeof(double)), 0) << i;
+    } else {
+      EXPECT_TRUE(got == cells[i]) << i << ": " << got.ToString();
+    }
+  }
 }
 
 TEST_F(PersistenceTest, ViewStoreRoundTrips) {
@@ -66,10 +121,10 @@ TEST_F(PersistenceTest, ViewStoreRoundTrips) {
   cls->Put({0, 0}, {{Value("Nissan")}});
   cls->Put({0, 1}, {{Value("Toyota")}});
 
-  ASSERT_TRUE(SaveViewStore(store, dir_.string()).ok());
+  ASSERT_TRUE(Save(store).ok());
 
   ViewStore loaded;
-  ASSERT_TRUE(LoadViewStore(dir_.string(), &loaded).ok());
+  EXPECT_TRUE(Load(&loaded).clean());
   MaterializedView* lv = loaded.Find("Det@v");
   ASSERT_NE(lv, nullptr);
   EXPECT_EQ(lv->num_keys(), 2);
@@ -93,12 +148,12 @@ TEST_F(PersistenceTest, LoadMergesWithoutOverwriting) {
   ViewStore store;
   Schema schema({{"CarType", DataType::kString}});
   store.GetOrCreate("CarType@v", schema)->Put({0, 0}, {{Value("Nissan")}});
-  ASSERT_TRUE(SaveViewStore(store, dir_.string()).ok());
+  ASSERT_TRUE(Save(store).ok());
 
   ViewStore target;
   target.GetOrCreate("CarType@v", schema)->Put({0, 0}, {{Value("Ford")}});
   target.GetOrCreate("CarType@v", schema)->Put({0, 1}, {{Value("BMW")}});
-  ASSERT_TRUE(LoadViewStore(dir_.string(), &target).ok());
+  EXPECT_TRUE(Load(&target).clean());
   // Existing keys win (append-only semantics); new keys merge in.
   EXPECT_EQ((*target.Find("CarType@v")->TryGet({0, 0}))[0][0].AsString(),
             "Ford");
@@ -160,7 +215,10 @@ TEST_F(PersistenceTest, SegmentFilesAreAdoptedSealed) {
 
 TEST_F(PersistenceTest, MissingDirectoryIsNotFound) {
   ViewStore store;
-  EXPECT_EQ(LoadViewStore((dir_ / "nope").string(), &store).code(),
+  udf::UdfManager manager;
+  EXPECT_EQ(LoadSession((dir_ / "nope").string(), &store, &manager)
+                .status()
+                .code(),
             StatusCode::kNotFound);
 }
 
@@ -276,9 +334,9 @@ TEST_F(PersistenceTest, LifecycleStateSurvivesEvictionAndRestart) {
   }
 }
 
-// Strips a v2 save directory down to the pre-manifest v1 layout: no
-// MANIFEST, no generation tags in filenames, optionally no lifecycle file.
-void MakeLegacyV1(const fs::path& dir, bool keep_lifecycle) {
+// Strips a save directory down to the pre-manifest layout: no MANIFEST,
+// no generation tags in filenames, optionally no lifecycle file.
+void StripManifest(const fs::path& dir, bool keep_lifecycle) {
   fs::remove(dir / "MANIFEST");
   std::vector<std::pair<fs::path, fs::path>> renames;
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -287,17 +345,21 @@ void MakeLegacyV1(const fs::path& dir, bool keep_lifecycle) {
     if (gpos == std::string::npos) continue;
     const size_t dot = name.find('.', gpos + 2);
     if (dot == std::string::npos) continue;
-    const std::string v1 = name.substr(0, gpos) + name.substr(dot);
-    if (v1 == "lifecycle.evastate" && !keep_lifecycle) {
+    const std::string bare = name.substr(0, gpos) + name.substr(dot);
+    if (bare == "lifecycle.evastate" && !keep_lifecycle) {
       fs::remove(entry.path());
       continue;
     }
-    renames.emplace_back(entry.path(), dir / v1);
+    renames.emplace_back(entry.path(), dir / bare);
   }
   for (const auto& [from, to] : renames) fs::rename(from, to);
 }
 
-TEST_F(PersistenceTest, LegacyV1DirectoryWithoutLifecycleLoads) {
+// A directory without a MANIFEST has nothing committed in it: recovery
+// loads none of its files — view files and the fixed-name lifecycle file
+// alike are quarantined as "not in manifest" — and the session recomputes
+// with exactly the rows of a cold run. Pure underclaim.
+TEST_F(PersistenceTest, DirectoryWithoutManifestLoadsNothing) {
   catalog::VideoInfo video;
   video.name = "pv";
   video.num_frames = 60;
@@ -306,31 +368,48 @@ TEST_F(PersistenceTest, LegacyV1DirectoryWithoutLifecycleLoads) {
   const char* sql =
       "SELECT id, obj FROM pv CROSS APPLY FasterRCNNResNet50(frame) "
       "WHERE id < 60 AND label = 'car';";
-  {
-    auto er = vbench::MakeEngine(optimizer::ReuseMode::kEva, video);
-    ASSERT_TRUE(er.ok());
-    auto engine = er.MoveValue();
-    ASSERT_TRUE(engine->Execute(sql).ok());
-    ASSERT_TRUE(engine->SaveViews(dir_.string()).ok());
-  }
-  // A directory written before the manifest/lifecycle subsystems existed:
-  // bare <view>.evaview files and nothing else. It must still load (the
-  // conditional apply consults the view per tuple without coverage).
-  MakeLegacyV1(dir_, /*keep_lifecycle=*/false);
-  {
+  for (bool keep_lifecycle : {false, true}) {
+    fs::remove_all(dir_);
+    std::string reference;
+    {
+      auto er = vbench::MakeEngine(optimizer::ReuseMode::kEva, video);
+      ASSERT_TRUE(er.ok());
+      auto engine = er.MoveValue();
+      auto r = engine->Execute(sql);
+      ASSERT_TRUE(r.ok());
+      reference = r.value().batch.ToString(1 << 20);
+      ASSERT_TRUE(engine->SaveViews(dir_.string()).ok());
+    }
+    StripManifest(dir_, keep_lifecycle);
+    const size_t managed = FilesEndingIn(".evaseg").size() +
+                           FilesEndingIn(".evastate").size();
+    ASSERT_GE(managed, 1u);
     auto er = vbench::MakeEngine(optimizer::ReuseMode::kEva, video);
     ASSERT_TRUE(er.ok());
     auto engine = er.MoveValue();
     ASSERT_TRUE(engine->LoadViews(dir_.string()).ok());
-    EXPECT_TRUE(engine->last_recovery().legacy);
-    EXPECT_EQ(engine->last_recovery().generation, 0);
+    const RecoveryReport& report = engine->last_recovery();
+    EXPECT_EQ(report.generation, 0);
+    EXPECT_TRUE(engine->views().views().empty());
+    ASSERT_EQ(report.quarantined.size(), managed) << report.Summary();
+    for (const QuarantinedFile& q : report.quarantined) {
+      EXPECT_EQ(q.reason, "not in manifest") << q.file;
+    }
+    EXPECT_TRUE(FilesEndingIn(".evaseg").empty());
+    EXPECT_TRUE(FilesEndingIn(".evastate").empty());
     auto r = engine->Execute(sql);
     ASSERT_TRUE(r.ok());
-    EXPECT_DOUBLE_EQ(r.value().metrics.breakdown[CostCategory::kUdf], 0.0);
+    EXPECT_EQ(r.value().batch.ToString(1 << 20), reference);
+    EXPECT_GT(r.value().metrics.breakdown[CostCategory::kUdf], 0.0)
+        << "keep_lifecycle=" << keep_lifecycle;
   }
 }
 
-TEST_F(PersistenceTest, LegacyV1DirectoryWithLifecycleLoads) {
+// A manifest can list a view file the reader no longer understands — a
+// text `.evaview` body from an older writer. Its size and CRC check out,
+// so the parser is what rejects it: the file is quarantined, its view's
+// coverage retracted, and the query recomputes that view's rows exactly.
+TEST_F(PersistenceTest, ManifestListingAnUnreadableViewFileRetracts) {
   catalog::VideoInfo video;
   video.name = "pv";
   video.num_frames = 60;
@@ -339,28 +418,73 @@ TEST_F(PersistenceTest, LegacyV1DirectoryWithLifecycleLoads) {
   const char* sql =
       "SELECT id, obj FROM pv CROSS APPLY FasterRCNNResNet50(frame) "
       "WHERE id < 60 AND label = 'car';";
+  const std::string key = "FasterRCNNResNet50@pv";
+  std::string reference;
   {
     auto er = vbench::MakeEngine(optimizer::ReuseMode::kEva, video);
     ASSERT_TRUE(er.ok());
     auto engine = er.MoveValue();
-    ASSERT_TRUE(engine->Execute(sql).ok());
-    ASSERT_TRUE(engine->SaveViews(dir_.string()).ok());
-  }
-  MakeLegacyV1(dir_, /*keep_lifecycle=*/true);
-  {
-    auto er = vbench::MakeEngine(optimizer::ReuseMode::kEva, video);
-    ASSERT_TRUE(er.ok());
-    auto engine = er.MoveValue();
-    ASSERT_TRUE(engine->LoadViews(dir_.string()).ok());
-    EXPECT_TRUE(engine->last_recovery().legacy);
     auto r = engine->Execute(sql);
     ASSERT_TRUE(r.ok());
-    EXPECT_DOUBLE_EQ(r.value().metrics.breakdown[CostCategory::kUdf], 0.0);
+    reference = r.value().batch.ToString(1 << 20);
+    ASSERT_TRUE(engine->SaveViews(dir_.string()).ok());
   }
+  // Replace the detector's view file with an old-format text body and
+  // re-point its manifest line (name, size, CRC) at it.
+  std::string manifest;
+  {
+    std::ifstream in(dir_ / "MANIFEST");
+    manifest.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  const std::string text =
+      "eva-view 1\nname " + key +
+      "\nschema 1 obj INT64\nkey 0 -1 1\nrow I:0\n";
+  const std::string old_file = key + ".g1.evaview";
+  std::string rebuilt = "eva-manifest 1\ngeneration 1\n";
+  std::istringstream lines(manifest);
+  std::string line;
+  int replaced = 0;
+  while (std::getline(lines, line)) {
+    if (line.rfind("file " + key + ".g1.evaseg ", 0) == 0) {
+      fs::remove(dir_ / (key + ".g1.evaseg"));
+      rebuilt += StrFormat("file %s %zu %08x view %s\n", old_file.c_str(),
+                           text.size(), Crc32(text), key.c_str());
+      ++replaced;
+    } else if (line.rfind("file ", 0) == 0) {
+      rebuilt += line + "\n";
+    }
+  }
+  ASSERT_EQ(replaced, 1) << manifest;
+  rebuilt += StrFormat("checksum %08x\n", Crc32(rebuilt));
+  {
+    std::ofstream out(dir_ / old_file, std::ios::binary);
+    out << text;
+    std::ofstream m(dir_ / "MANIFEST", std::ios::binary | std::ios::trunc);
+    m << rebuilt;
+  }
+
+  auto er = vbench::MakeEngine(optimizer::ReuseMode::kEva, video);
+  ASSERT_TRUE(er.ok());
+  auto engine = er.MoveValue();
+  ASSERT_TRUE(engine->LoadViews(dir_.string()).ok());
+  const RecoveryReport& report = engine->last_recovery();
+  EXPECT_EQ(report.generation, 1);
+  ASSERT_EQ(report.quarantined.size(), 1u) << report.Summary();
+  EXPECT_EQ(report.quarantined[0].file, old_file);
+  EXPECT_EQ(report.quarantined[0].view_key, key);
+  ASSERT_EQ(report.retracted.size(), 1u);
+  EXPECT_EQ(report.retracted[0], key);
+  EXPECT_EQ(engine->views().Find(key), nullptr);
+  EXPECT_TRUE(fs::exists(dir_ / (old_file + ".quarantined")));
+  auto r = engine->Execute(sql);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().batch.ToString(1 << 20), reference);
+  EXPECT_GT(r.value().metrics.breakdown[CostCategory::kUdf], 0.0);
 }
 
-// Regression: a view dropped from the store used to leave its .evaview
-// file behind, silently resurrecting on the next load. Committing the
+// Regression: a view dropped from the store used to leave its view file
+// behind, silently resurrecting on the next load. Committing the
 // manifest now garbage-collects every file it does not list.
 TEST_F(PersistenceTest, StaleFilesOfDroppedViewsDoNotResurrect) {
   Schema schema({{"x", DataType::kInt64}});
@@ -368,25 +492,19 @@ TEST_F(PersistenceTest, StaleFilesOfDroppedViewsDoNotResurrect) {
     ViewStore store;
     store.GetOrCreate("A@v", schema)->Put({0, -1}, {{Value(int64_t{1})}});
     store.GetOrCreate("B@v", schema)->Put({0, -1}, {{Value(int64_t{2})}});
-    ASSERT_TRUE(SaveViewStore(store, dir_.string()).ok());
+    ASSERT_TRUE(Save(store).ok());
   }
   {
     // Second save no longer contains B — its file must be deleted.
     ViewStore store;
     store.GetOrCreate("A@v", schema)->Put({0, -1}, {{Value(int64_t{1})}});
-    ASSERT_TRUE(SaveViewStore(store, dir_.string()).ok());
+    ASSERT_TRUE(Save(store).ok());
   }
-  int evaview_files = 0;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > 8 && name.substr(name.size() - 8) == ".evaview") {
-      ++evaview_files;
-      EXPECT_EQ(name.find("B@v"), std::string::npos) << name;
-    }
-  }
-  EXPECT_EQ(evaview_files, 1);
+  const std::vector<std::string> view_files = FilesEndingIn(".evaseg");
+  ASSERT_EQ(view_files.size(), 1u);
+  EXPECT_EQ(view_files[0].find("B@v"), std::string::npos) << view_files[0];
   ViewStore loaded;
-  ASSERT_TRUE(LoadViewStore(dir_.string(), &loaded).ok());
+  EXPECT_TRUE(Load(&loaded).clean());
   EXPECT_NE(loaded.Find("A@v"), nullptr);
   EXPECT_EQ(loaded.Find("B@v"), nullptr) << "dropped view resurrected";
 }
@@ -397,22 +515,25 @@ TEST_F(PersistenceTest, UnmanifestedFileIsQuarantinedNotLoaded) {
   Schema schema({{"x", DataType::kInt64}});
   ViewStore store;
   store.GetOrCreate("A@v", schema)->Put({0, -1}, {{Value(int64_t{1})}});
-  ASSERT_TRUE(SaveViewStore(store, dir_.string()).ok());
+  ASSERT_TRUE(Save(store).ok());
   {
-    std::ofstream out(dir_ / "Stray@v.evaview");
-    out << "eva-view 1\nname Stray@v\nschema 1 x INT64\nkey 0 -1 1\n"
-           "row I:7\n";
+    // A well-formed view file — only the manifest's absent claim on it
+    // keeps it out.
+    ViewStore stray;
+    stray.GetOrCreate("Stray@v", schema)->Put({0, -1}, {{Value(int64_t{7})}});
+    std::ofstream out(dir_ / "Stray@v.evaseg", std::ios::binary);
+    out << SerializeViewSegments("Stray@v", *stray.Find("Stray@v"));
   }
   ViewStore loaded;
   RecoveryReport report;
   ASSERT_TRUE(
-      LoadViewStoreEx(dir_.string(), &loaded, nullptr, &report).ok());
+      LoadViewFiles(dir_.string(), &loaded, nullptr, &report).ok());
   EXPECT_EQ(loaded.Find("Stray@v"), nullptr);
   ASSERT_EQ(report.quarantined.size(), 1u);
-  EXPECT_EQ(report.quarantined[0].file, "Stray@v.evaview");
+  EXPECT_EQ(report.quarantined[0].file, "Stray@v.evaseg");
   EXPECT_EQ(report.quarantined[0].reason, "not in manifest");
-  EXPECT_TRUE(fs::exists(dir_ / "Stray@v.evaview.quarantined"));
-  EXPECT_FALSE(fs::exists(dir_ / "Stray@v.evaview"));
+  EXPECT_TRUE(fs::exists(dir_ / "Stray@v.evaseg.quarantined"));
+  EXPECT_FALSE(fs::exists(dir_ / "Stray@v.evaseg"));
 }
 
 TEST_F(PersistenceTest, GenerationAdvancesAcrossSaves) {
@@ -434,21 +555,12 @@ TEST_F(PersistenceTest, GenerationAdvancesAcrossSaves) {
   ASSERT_TRUE(engine->LoadViews(dir_.string()).ok());
   EXPECT_EQ(engine->last_recovery().generation, 2);
   EXPECT_TRUE(engine->last_recovery().clean());
-  EXPECT_FALSE(engine->last_recovery().legacy);
-  // Only one generation's files survive the second commit's GC. Engine
-  // saves write binary .evaseg codec files; count either form.
-  int view_files = 0;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    const std::string name = entry.path().filename().string();
-    const bool is_view =
-        (name.size() > 8 && name.substr(name.size() - 8) == ".evaview") ||
-        (name.size() > 7 && name.substr(name.size() - 7) == ".evaseg");
-    if (is_view) {
-      ++view_files;
-      EXPECT_NE(name.find(".g2."), std::string::npos) << name;
-    }
+  // Only one generation's files survive the second commit's GC.
+  const std::vector<std::string> view_files = FilesEndingIn(".evaseg");
+  EXPECT_GE(view_files.size(), 1u);
+  for (const std::string& name : view_files) {
+    EXPECT_NE(name.find(".g2."), std::string::npos) << name;
   }
-  EXPECT_GE(view_files, 1);
 }
 
 }  // namespace

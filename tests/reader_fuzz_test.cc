@@ -1,25 +1,31 @@
 // Fuzz property tests for every parser that consumes untrusted bytes: the
-// EVA-QL parser/lexer, the predicate codec, the value codec, and the view /
-// lifecycle file readers. The property is uniform — malformed input (random
+// EVA-QL parser/lexer, the predicate codec, the view / manifest /
+// lifecycle file readers and the WAL's segment_append decoder. The property is uniform — malformed input (random
 // bytes, truncations, bit flips) yields a Status error or a successful
 // parse, never a crash, throw, or sanitizer report. CI runs this binary
 // under ASan/UBSan; the seeds are fixed so failures replay exactly.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "engine/eva_engine.h"
 #include "parser/parser.h"
 #include "storage/view_persistence.h"
 #include "symbolic/predicate.h"
 #include "symbolic/predicate_io.h"
 #include "vbench/vbench.h"
+#include "wal/wal_log.h"
+#include "wal/wal_replay.h"
 
 namespace eva {
 namespace {
@@ -136,33 +142,15 @@ TEST(ReaderFuzzTest, PredicateCodecNeverCrashes) {
   EXPECT_FALSE(
       symbolic::DecodePredicate("P 1 C 1 x 2 Ci 999999999999999999 a").ok());
   EXPECT_FALSE(symbolic::DecodePredicate("P 99999999 C 1").ok());
-}
-
-TEST(ReaderFuzzTest, ValueCodecNeverCrashes) {
-  const std::vector<std::string> corpus = {
-      storage::EncodeValue(Value::Null()),
-      storage::EncodeValue(Value(true)),
-      storage::EncodeValue(Value(int64_t{-42})),
-      storage::EncodeValue(Value(0.3125)),
-      storage::EncodeValue(Value("two words 50%")),
-  };
-  Rng rng(331);
-  for (int i = 0; i < 4000; ++i) {
-    std::string input = (i % 4 == 0)
-                            ? RandomText(rng, 40)
-                            : Mutate(rng, corpus[rng.NextBelow(corpus.size())]);
-    auto r = storage::DecodeValue(input);
-    (void)r;
-  }
-  // Regressions: these used to throw out of std::stoll / std::stod /
-  // std::stoi (escape decoding).
-  EXPECT_FALSE(storage::DecodeValue("I:99999999999999999999999").ok());
-  EXPECT_FALSE(storage::DecodeValue("I:12abc").ok());
-  EXPECT_FALSE(storage::DecodeValue("D:not_a_number").ok());
-  EXPECT_FALSE(storage::DecodeValue("S:%ZZ").ok());
-  EXPECT_FALSE(storage::DecodeValue("S:%2").ok());
-  auto inf = storage::DecodeValue("D:1e999999");
-  (void)inf;
+  // Regression: bad escapes in a dimension name or a categorical value
+  // used to decode silently (%ZZ to a NUL byte, a truncated %2 kept
+  // literally), accepting a corrupt name instead of failing.
+  EXPECT_TRUE(symbolic::DecodePredicate("P 1 C 1 id 0 N inf inf 0").ok());
+  EXPECT_TRUE(symbolic::DecodePredicate("P 1 C 1 label 2 Ci 1 c%41r").ok());
+  EXPECT_FALSE(symbolic::DecodePredicate("P 1 C 1 i%ZZd 0 N inf inf 0").ok());
+  EXPECT_FALSE(symbolic::DecodePredicate("P 1 C 1 id%2 0 N inf inf 0").ok());
+  EXPECT_FALSE(symbolic::DecodePredicate("P 1 C 1 label 2 Ci 1 c%G1r").ok());
+  EXPECT_FALSE(symbolic::DecodePredicate("P 1 C 1 label 2 Ci 1 car%").ok());
 }
 
 class FileReaderFuzzTest : public ::testing::Test {
@@ -181,6 +169,23 @@ class FileReaderFuzzTest : public ::testing::Test {
     out.write(body.data(), static_cast<std::streamsize>(body.size()));
   }
 
+  /// Writes `body` as the only file of a fresh generation-1 directory
+  /// whose MANIFEST lists it with a matching size and CRC — so the load
+  /// gets past the checksum shield and the parser alone must cope.
+  /// `view` is the view name ("" lists the file as the lifecycle state).
+  void WriteManifested(const std::string& name, const std::string& body,
+                       const std::string& view) {
+    WriteRaw(name, body);
+    std::string manifest = "eva-manifest 1\ngeneration 1\n";
+    manifest += StrFormat("file %s %zu %08x %s\n", name.c_str(), body.size(),
+                          Crc32(body),
+                          view.empty() ? "lifecycle -"
+                                       : ("view " + view).c_str());
+    manifest += StrFormat("checksum %08x\n", Crc32(manifest));
+    std::ofstream out(dir_ / "MANIFEST", std::ios::binary);
+    out << manifest;
+  }
+
   stdfs::path dir_;
 };
 
@@ -194,11 +199,12 @@ TEST_F(FileReaderFuzzTest, ViewFileReaderNeverCrashes) {
   view->Put({0, -1}, {{Value(int64_t{0}), Value("car"), Value(0.9)},
                       {Value(int64_t{1}), Value("bus pass"), Value(0.8)}});
   view->Put({1, -1}, {});
-  ASSERT_TRUE(storage::SaveViewStore(store, dir_.string()).ok());
+  udf::UdfManager manager;
+  ASSERT_TRUE(storage::SaveSession(store, manager, dir_.string()).ok());
   std::string body;
   for (const auto& entry : stdfs::directory_iterator(dir_)) {
     const std::string name = entry.path().filename().string();
-    if (name.size() > 8 && name.substr(name.size() - 8) == ".evaview") {
+    if (name.size() > 7 && name.substr(name.size() - 7) == ".evaseg") {
       std::ifstream in(entry.path(), std::ios::binary);
       body.assign(std::istreambuf_iterator<char>(in),
                   std::istreambuf_iterator<char>());
@@ -210,15 +216,19 @@ TEST_F(FileReaderFuzzTest, ViewFileReaderNeverCrashes) {
   for (int i = 0; i < 300; ++i) {
     const std::string mutated =
         (i % 5 == 0) ? RandomText(rng, 400) : Mutate(rng, body);
-    // Legacy layout (no MANIFEST): the reader has no checksum shield and
-    // must survive on parsing alone. Bad files are quarantined, never
-    // fatal, never a crash.
-    WriteRaw("fuzzed.evaview", mutated);
+    // The manifest vouches for the mutated bytes, so the reader has no
+    // checksum shield and must survive on parsing alone. Bad files are
+    // quarantined under their view's name, never fatal, never a crash.
+    WriteManifested("Det@v.g1.evaseg", mutated, "Det@v");
     storage::ViewStore loaded;
     storage::RecoveryReport report;
     Status s =
-        storage::LoadViewStoreEx(dir_.string(), &loaded, nullptr, &report);
+        storage::LoadViewFiles(dir_.string(), &loaded, nullptr, &report);
     EXPECT_TRUE(s.ok()) << s.ToString();
+    if (!report.quarantined.empty()) {
+      EXPECT_TRUE(loaded.views().empty());
+      EXPECT_EQ(report.quarantined[0].view_key, "Det@v");
+    }
   }
 }
 
@@ -306,10 +316,7 @@ TEST_F(FileReaderFuzzTest, SegmentCodecReaderNeverCrashes) {
   {
     stdfs::remove_all(dir_);
     udf::UdfManager manager;
-    ASSERT_TRUE(
-        storage::SaveSession(store, manager, dir_.string(), nullptr,
-                             {/*compressed_segments=*/true})
-            .ok());
+    ASSERT_TRUE(storage::SaveSession(store, manager, dir_.string()).ok());
     std::string seg_file;
     for (const auto& entry : stdfs::directory_iterator(dir_)) {
       const std::string name = entry.path().filename().string();
@@ -332,7 +339,7 @@ TEST_F(FileReaderFuzzTest, SegmentCodecReaderNeverCrashes) {
       storage::ViewStore loaded;
       storage::RecoveryReport report;
       Status s =
-          storage::LoadViewStoreEx(dir_.string(), &loaded, nullptr, &report);
+          storage::LoadViewFiles(dir_.string(), &loaded, nullptr, &report);
       EXPECT_TRUE(s.ok()) << s.ToString();
       EXPECT_EQ(loaded.Find("Det@v"), nullptr);
       ASSERT_EQ(report.quarantined.size(), 1u);
@@ -346,11 +353,172 @@ TEST_F(FileReaderFuzzTest, SegmentCodecReaderNeverCrashes) {
   }
 }
 
+/// Rows of every key of `view` in `keys`, in order (absent keys skipped),
+/// as value rows — the comparison form for the WAL fuzz.
+std::vector<std::pair<storage::ViewKey, std::vector<Row>>> RowsOf(
+    const storage::MaterializedView& view,
+    const std::vector<storage::ViewKey>& keys) {
+  std::vector<std::pair<storage::ViewKey, std::vector<Row>>> out;
+  for (const storage::ViewKey& k : keys) {
+    if (auto rows = view.TryGet(k)) out.emplace_back(k, std::move(*rows));
+  }
+  return out;
+}
+
+TEST_F(FileReaderFuzzTest, WalAppendDecoderNeverCrashes) {
+  // Corpus: a view admission plus one segment_append record whose lanes
+  // cover every plain lane kind — Int64, dictionary strings, Bool and
+  // Double with NULLs, a mixed-type (raw Value) lane, an all-NULL column —
+  // and presence-only keys.
+  Schema schema({{"obj", DataType::kInt64},
+                 {"label", DataType::kString},
+                 {"flag", DataType::kBool},
+                 {"score", DataType::kDouble},
+                 {"mixed", DataType::kString},
+                 {"none", DataType::kInt64}});
+  storage::ViewStore store;
+  storage::MaterializedView* view = store.GetOrCreate("Det@v", schema);
+  std::vector<storage::ViewKey> keys;
+  for (int64_t f = 0; f < 40; ++f) {
+    keys.push_back({f, -1});
+    if (f % 9 == 0) {
+      view->Put({f, -1}, {});
+      continue;
+    }
+    view->Put({f, -1},
+              {{Value(f % 6), Value(f % 3 == 0 ? "car" : "bus lane"),
+                Value(f % 2 == 0), Value(0.5 + static_cast<double>(f % 7)),
+                f % 4 == 0 ? Value(f) : Value("m"), Value::Null()},
+               {Value::Null(), Value("car"), Value::Null(), Value(-0.0),
+                Value(true), Value::Null()}});
+  }
+  storage::MaterializedView::KeyedRows rows;
+  view->CopyRows(keys, &rows);
+  ASSERT_EQ(rows.keys.size(), keys.size());
+  const auto original = RowsOf(*view, keys);
+  const std::string admission =
+      wal::EncodeFrame(wal::ViewAdmissionRecord("Det@v", schema));
+  const std::string payload =
+      wal::SegmentAppendRecord("Det@v", 7, rows).payload;
+  const std::string path = (dir_ / "wal.g1.evalog").string();
+
+  // Replays `log` into a fresh store and returns the status; `loaded`
+  // receives what the replay installed.
+  auto replay = [&](const std::string& log, storage::ViewStore* loaded) {
+    WriteRaw("wal.g1.evalog", log);
+    catalog::Catalog catalog;
+    udf::UdfManager manager;
+    return wal::ReplayWal(path, &catalog, loaded, &manager,
+                          symbolic::SymbolicBudget{})
+        .status();
+  };
+  auto frame = [](const std::string& body) {
+    return wal::EncodeFrame({wal::WalRecordType::kSegmentAppend, body});
+  };
+
+  // Sanity: the untouched record installs exactly the original rows.
+  {
+    storage::ViewStore loaded;
+    ASSERT_TRUE(replay(admission + frame(payload), &loaded).ok());
+    ASSERT_NE(loaded.Find("Det@v"), nullptr);
+    EXPECT_EQ(RowsOf(*loaded.Find("Det@v"), keys), original);
+  }
+
+  // Mutated payloads re-framed with a valid CRC: the decoder alone stands
+  // between them and the store. Replay either fails having installed
+  // nothing, or installs the decoded record whole — every key with all of
+  // its rows, each of the schema's width. (A flipped bit inside a value
+  // lane decodes to another value of the same type; the frame CRC is what
+  // catches that, below.)
+  Rng rng(2468);
+  int rejected = 0;
+  for (int i = 0; i < 600; ++i) {
+    const std::string mutated =
+        (i % 5 == 0) ? RandomText(rng, 600) : Mutate(rng, payload);
+    storage::ViewStore loaded;
+    Status s = replay(admission + frame(mutated), &loaded);
+    const storage::MaterializedView* lv = loaded.Find("Det@v");
+    ASSERT_NE(lv, nullptr);  // the admission record always applies
+    if (!s.ok()) {
+      ++rejected;
+      EXPECT_EQ(lv->num_keys(), 0) << "a rejected record installed keys";
+      continue;
+    }
+    storage::ByteReader r(mutated);
+    std::string name;
+    int64_t qid;
+    storage::MaterializedView::KeyedRows decoded;
+    ASSERT_TRUE(r.Str(&name) && r.Zigzag(&qid) &&
+                storage::ReadKeyedRows(&r, schema.num_fields(), &decoded));
+    std::vector<storage::ViewKey> decoded_keys;
+    for (const auto& k : decoded.keys) decoded_keys.push_back(k.key);
+    storage::MaterializedView::KeyedRows installed;
+    lv->CopyRows(decoded_keys, &installed);
+    ASSERT_EQ(installed.keys.size(), decoded_keys.size());
+    for (size_t k = 0; k < decoded.keys.size(); ++k) {
+      const auto& want = decoded.keys[k];
+      if (std::find_if(decoded.keys.begin(), decoded.keys.begin() + k,
+                       [&](const auto& e) { return e.key == want.key; }) !=
+          decoded.keys.begin() + k) {
+        continue;  // a repeated key: the first occurrence was installed
+      }
+      ASSERT_EQ(installed.keys[k].end - installed.keys[k].begin,
+                want.end - want.begin);
+      for (uint32_t j = 0; j < want.end - want.begin; ++j) {
+        for (size_t c = 0; c < schema.num_fields(); ++c) {
+          const Value a = decoded.cols[c].At(want.begin + j);
+          const Value b = installed.cols[c].At(installed.keys[k].begin + j);
+          EXPECT_EQ(a.ToString(), b.ToString());
+        }
+      }
+    }
+  }
+  EXPECT_GT(rejected, 200) << "the decoder accepted too much garbage";
+
+  // The same mutations without re-framing: the frame CRC cuts every one
+  // of them off as a torn tail, so no row the original did not hold is
+  // ever installed.
+  const std::string good_log = admission + frame(payload);
+  Rng crc_rng(8642);
+  for (int i = 0; i < 60; ++i) {
+    std::string bad = good_log;
+    const std::string flipped =
+        BitFlip(crc_rng, good_log.substr(admission.size()));
+    bad.replace(admission.size(), std::string::npos, flipped);
+    storage::ViewStore loaded;
+    Status s = replay(bad, &loaded);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    const storage::MaterializedView* lv = loaded.Find("Det@v");
+    ASSERT_NE(lv, nullptr);
+    for (const auto& [key, got] : RowsOf(*lv, keys)) {
+      EXPECT_NE(std::find(original.begin(), original.end(),
+                          std::make_pair(key, got)),
+                original.end());
+    }
+    if (bad != good_log) {
+      EXPECT_EQ(lv->num_keys(), 0);
+    }
+  }
+
+  // A text segment_append payload from the old writer (percent-escaped
+  // tokens, one `row` line of type-prefixed cells per row) is rejected.
+  {
+    storage::ViewStore loaded;
+    Status s = replay(
+        admission + frame("view Det@v 7\nkey 1 -1 1\n"
+                          "row I:1 S:bus%20lane B:0 D:1.5 S:m N\n"),
+        &loaded);
+    EXPECT_FALSE(s.ok());
+    ASSERT_NE(loaded.Find("Det@v"), nullptr);
+    EXPECT_EQ(loaded.Find("Det@v")->num_keys(), 0);
+  }
+}
+
 TEST_F(FileReaderFuzzTest, ManifestReaderNeverCrashes) {
   Rng rng(777);
   const std::string valid =
       "eva-manifest 1\ngeneration 3\n"
-      "file Det@v.g3.evaview 120 0a1b2c3d view Det@v\n"
+      "file Det@v.g3.evaseg 120 0a1b2c3d view Det@v\n"
       "file lifecycle.g3.evastate 64 11223344 lifecycle -\n";
   for (int i = 0; i < 300; ++i) {
     const std::string mutated =
@@ -359,7 +527,7 @@ TEST_F(FileReaderFuzzTest, ManifestReaderNeverCrashes) {
     storage::ViewStore loaded;
     storage::RecoveryReport report;
     Status s =
-        storage::LoadViewStoreEx(dir_.string(), &loaded, nullptr, &report);
+        storage::LoadViewFiles(dir_.string(), &loaded, nullptr, &report);
     EXPECT_TRUE(s.ok()) << s.ToString();
     // A mutated manifest is (almost) always a checksum failure; nothing
     // may load off the back of one.
@@ -401,8 +569,8 @@ TEST_F(FileReaderFuzzTest, LifecycleReaderNeverCrashes) {
   for (int i = 0; i < 300; ++i) {
     const std::string mutated =
         (i % 5 == 0) ? RandomText(rng, 400) : Mutate(rng, body);
-    // v1 legacy layout: fixed name, no manifest, no checksum.
-    WriteRaw("lifecycle.evastate", mutated);
+    // Manifested with a matching CRC: the parser alone must cope.
+    WriteManifested("lifecycle.g1.evastate", mutated, "");
     storage::ViewStore store;
     udf::UdfManager manager;
     storage::RecoveryReport report;

@@ -71,6 +71,7 @@ class WalRecoveryTest : public ::testing::Test {
   std::unique_ptr<EvaEngine> MakeStreamEngine(int64_t initial) {
     engine::EngineOptions options;
     options.optimizer.mode = optimizer::ReuseMode::kEva;
+    options.segment_compression = compress_;
     auto engine = std::make_unique<EvaEngine>(
         options, std::make_shared<catalog::Catalog>());
     EXPECT_TRUE(vbench::RegisterStandardUdfs(engine.get()).ok());
@@ -143,39 +144,100 @@ class WalRecoveryTest : public ::testing::Test {
 
   stdfs::path root_;
   std::map<int64_t, std::string> oracle_;
+  bool compress_ = true;  // EngineOptions::segment_compression
 };
 
 /// Kill the session at every filesystem point the WAL consults — log
 /// appends, the checkpoint's snapshot rewrite, log-file rotation — and
 /// prove each crashed directory recovers to a sound state.
 TEST_F(WalRecoveryTest, CrashMatrixRecoversSoundlyAtEveryPoint) {
-  const stdfs::path dir = root_ / "wal";
-  std::vector<fault::FaultHit> points;
+  // Segment compression changes how sealed lanes are held, never what an
+  // append record or a checkpoint file carries; run the matrix both ways.
+  for (bool compress : {true, false}) {
+    compress_ = compress;
+    const stdfs::path dir = root_ / "wal";
+    stdfs::remove_all(dir);
+    std::vector<fault::FaultHit> points;
+    {
+      auto engine = MakeStreamEngine(kInitial);
+      engine->fault_injector()->set_recording(true);
+      for (const Status& s : RunScript(engine.get(), dir.string())) {
+        ASSERT_TRUE(s.ok()) << s.ToString();
+      }
+      points = engine->fault_injector()->hits();
+    }
+    ASSERT_GE(points.size(), 12u)
+        << "the scripted session consults too few fault points";
+
+    for (const fault::FaultHit& hit : points) {
+      const std::string label = hit.point + "#" +
+                                std::to_string(hit.occurrence) +
+                                (compress ? "" : " (compression off)");
+      stdfs::remove_all(dir);
+      auto engine = MakeStreamEngine(kInitial);
+      ASSERT_TRUE(engine
+                      ->SetFaultSchedule("crash@" + hit.point + "#" +
+                                         std::to_string(hit.occurrence))
+                      .ok());
+      (void)RunScript(engine.get(), dir.string());
+      EXPECT_GE(engine->fault_injector()->fired(), 1)
+          << label << ": the scheduled crash never fired";
+      RecoverAndCheck(dir.string(), "crash at " + label);
+    }
+  }
+}
+
+/// A segment_append record whose frame CRC is valid but whose column
+/// lanes are not (a writer bug, not a crash) fails recovery loudly, and
+/// installs none of its keys: the engine keeps only the records before it,
+/// so its answers stay those of a cold engine at the recovered horizon.
+TEST_F(WalRecoveryTest, CorruptAppendRecordFailsReplayAndInstallsNothing) {
+  const stdfs::path dir = root_ / "badappend";
   {
     auto engine = MakeStreamEngine(kInitial);
-    engine->fault_injector()->set_recording(true);
-    for (const Status& s : RunScript(engine.get(), dir.string())) {
-      ASSERT_TRUE(s.ok()) << s.ToString();
+    ASSERT_TRUE(engine->EnableWal(dir.string()).ok());
+    ASSERT_TRUE(engine->Execute(kQ1).ok());
+  }
+  // Re-frame the log with the first append's payload cut short by one
+  // byte — every frame CRC stays valid.
+  const stdfs::path log_path = dir / "wal.g0.evalog";
+  std::string bytes;
+  {
+    std::ifstream in(log_path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  wal::WalScan scan = wal::ScanWal(bytes);
+  ASSERT_FALSE(scan.torn);
+  std::string rebuilt;
+  bool corrupted = false;
+  for (wal::WalRecord rec : scan.records) {
+    if (rec.type == wal::WalRecordType::kSegmentAppend && !corrupted) {
+      rec.payload.pop_back();
+      corrupted = true;
     }
-    points = engine->fault_injector()->hits();
+    rebuilt += wal::EncodeFrame(rec);
   }
-  ASSERT_GE(points.size(), 12u)
-      << "the scripted session consults too few fault points";
+  ASSERT_TRUE(corrupted) << "the query logged no segment_append record";
+  {
+    std::ofstream out(log_path, std::ios::binary | std::ios::trunc);
+    out << rebuilt;
+  }
 
-  for (const fault::FaultHit& hit : points) {
-    const std::string label =
-        hit.point + "#" + std::to_string(hit.occurrence);
-    stdfs::remove_all(dir);
-    auto engine = MakeStreamEngine(kInitial);
-    ASSERT_TRUE(engine
-                    ->SetFaultSchedule("crash@" + hit.point + "#" +
-                                       std::to_string(hit.occurrence))
-                    .ok());
-    (void)RunScript(engine.get(), dir.string());
-    EXPECT_GE(engine->fault_injector()->fired(), 1)
-        << label << ": the scheduled crash never fired";
-    RecoverAndCheck(dir.string(), "crash at " + label);
-  }
+  auto engine = MakeStreamEngine(kInitial);
+  Status armed = engine->EnableWal(dir.string());
+  EXPECT_FALSE(armed.ok());
+  EXPECT_NE(armed.message().find("malformed segment_append"),
+            std::string::npos)
+      << armed.ToString();
+  EXPECT_FALSE(engine->wal_enabled());
+  const storage::MaterializedView* view =
+      engine->views().Find(kDetectorKey);
+  ASSERT_NE(view, nullptr) << "the admission before the bad record applies";
+  EXPECT_EQ(view->num_keys(), 0);
+  auto r = engine->Execute(kProbe);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().batch.ToString(1 << 20), OracleRows(kInitial));
 }
 
 /// A silently torn group commit (short write that still returned success)
