@@ -352,45 +352,60 @@ Status EvaEngine::EnableWal(const std::string& dir) {
 
   // Recovery: last checkpoint snapshot, then the log tail on top. This
   // REPLACES in-memory reuse state — EnableWal is the recovery entry
-  // point, not an incremental attach.
-  EVA_ASSIGN_OR_RETURN(storage::RecoveryReport loaded,
-                       storage::LoadSession(dir, &views_, &manager_, &fs));
-  last_recovery_ = std::move(loaded);
-  EVA_ASSIGN_OR_RETURN(int64_t gen, storage::ManifestGeneration(dir, &fs));
-  // Mid-checkpoint crash window: the manifest reached generation G but the
-  // fresh log's checkpoint record never committed. The stale G-1 log is
-  // subsumed by the snapshot except for its ingestion horizons — recover
-  // those first (harmless when the fresh log exists: its checkpoint record
-  // re-sets every horizon).
-  if (gen > 0) {
-    auto stale =
-        wal::ReplayWal(WalPath(dir, gen - 1), catalog_.get(), &views_,
-                       &manager_, options_.optimizer.budget, &fs,
-                       /*horizons_only=*/true);
-    if (!stale.ok()) return stale.status();
+  // point, not an incremental attach. It fails closed: on any error the
+  // views, coverage and stream horizons go back to their state before the
+  // call, and the WAL stays off.
+  storage::ViewStore::Snapshot views_before = views_.TakeSnapshot();
+  udf::UdfManager manager_before = manager_;
+  std::vector<std::pair<std::string, int64_t>> frames_before;
+  for (const auto& [name, video] : catalog_->videos()) {
+    frames_before.emplace_back(name, video.num_frames);
   }
-  EVA_ASSIGN_OR_RETURN(
-      wal::WalReplayReport replay,
-      wal::ReplayWal(WalPath(dir, gen), catalog_.get(), &views_, &manager_,
-                     options_.optimizer.budget, &fs));
-  last_replay_ = std::move(replay);
-  if (gen > 0) (void)fs.Remove(WalPath(dir, gen - 1));
-  ingestor_.SyncVisible();
-
-  wal_dir_ = dir;
-  wal_writer_ = std::make_unique<wal::WalWriter>(WalPath(dir, gen));
-  // Make any horizon-guard repair durable before acknowledging recovery:
-  // the retraction exists only in memory until it reaches the log.
-  for (const auto& [key, beyond] : last_replay_.guard_retractions) {
-    wal_writer_->Stage(wal::CoverageRetractionRecord(key, beyond));
-  }
-  Status committed = CommitWal(wal_writer_.get(), &fs, registry_,
-                               event_log_.get(), "recovery_guard");
-  if (!committed.ok()) {
+  int64_t gen = 0;
+  Status recovered = [&]() -> Status {
+    EVA_ASSIGN_OR_RETURN(storage::RecoveryReport loaded,
+                         storage::LoadSession(dir, &views_, &manager_, &fs));
+    last_recovery_ = std::move(loaded);
+    EVA_ASSIGN_OR_RETURN(gen, storage::ManifestGeneration(dir, &fs));
+    // Mid-checkpoint crash window: the manifest reached generation G but
+    // the fresh log's checkpoint record never committed. The stale G-1 log
+    // is subsumed by the snapshot except for its ingestion horizons —
+    // recover those first (harmless when the fresh log exists: its
+    // checkpoint record re-sets every horizon).
+    if (gen > 0) {
+      auto stale =
+          wal::ReplayWal(WalPath(dir, gen - 1), catalog_.get(), &views_,
+                         &manager_, options_.optimizer.budget, &fs,
+                         /*horizons_only=*/true);
+      if (!stale.ok()) return stale.status();
+    }
+    EVA_ASSIGN_OR_RETURN(
+        last_replay_,
+        wal::ReplayWal(WalPath(dir, gen), catalog_.get(), &views_, &manager_,
+                       options_.optimizer.budget, &fs));
+    if (gen > 0) (void)fs.Remove(WalPath(dir, gen - 1));
+    wal_writer_ = std::make_unique<wal::WalWriter>(WalPath(dir, gen));
+    // Make any horizon-guard repair durable before acknowledging
+    // recovery: the retraction exists only in memory until it reaches the
+    // log.
+    for (const auto& [key, beyond] : last_replay_.guard_retractions) {
+      wal_writer_->Stage(wal::CoverageRetractionRecord(key, beyond));
+    }
+    return CommitWal(wal_writer_.get(), &fs, registry_, event_log_.get(),
+                     "recovery_guard");
+  }();
+  if (!recovered.ok()) {
     wal_writer_.reset();
-    wal_dir_.clear();
-    return committed;
+    views_.Restore(std::move(views_before));
+    manager_ = std::move(manager_before);
+    for (const auto& [name, frames] : frames_before) {
+      (void)catalog_->SetVideoFrames(name, frames);
+    }
+    PublishViewsSnapshot();
+    return recovered;
   }
+  wal_dir_ = dir;
+  ingestor_.SyncVisible();
 
   // Capture starts only now, after replay, so replayed Puts and coverage
   // ops are not re-journaled into the log they just came from.
@@ -928,6 +943,14 @@ Result<QueryResult> EvaEngine::ExecuteSelect(
   clock_.Charge(CostCategory::kOptimize, optimized.optimizer_ms);
   opt_span.SetAttribute("sim_charged_ms", optimized.optimizer_ms);
   opt_span.End();
+  if (registry_ != nullptr && !plain_explain && optimized.report.covered) {
+    if (auto* c = registry_->GetCounter(
+            "eva_queries_covered_total",
+            "SELECTs whose every candidate UDF had p- = FALSE at optimize "
+            "time: no CondApply work and no STORE inserts.")) {
+      c->Increment();
+    }
+  }
   out.report = std::move(optimized.report);
   out.metrics.optimizer_ms = optimized.optimizer_ms;
   out.metrics.symbolic_cache_hits = out.report.symbolic_cache_hits;

@@ -26,6 +26,7 @@ void Chunk::Filter(const std::vector<uint8_t>& keep) {
   if (kept == rows_) return;
   for (ColumnBuilder& c : cols_) c.Filter(keep.data());
   rows_ = kept;
+  view_hits_ = {};
 }
 
 void Chunk::AppendTo(Batch* out) const {

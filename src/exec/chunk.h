@@ -2,6 +2,7 @@
 #define EVA_EXEC_CHUNK_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/row.h"
@@ -10,6 +11,16 @@
 namespace eva::exec {
 
 using storage::ColumnBuilder;
+
+/// ViewJoin's verdict on a chunk's rows against the view it probed
+/// (docs/STORAGE.md): hit[r] != 0 when row r was answered from `view`, 0
+/// when the key was absent there and CondApply computes the row. STORE over
+/// `view` skips the hits and appends the rest without looking them up.
+/// An empty `view` is no verdict: STORE looks every key up.
+struct ViewHits {
+  std::string view;
+  std::vector<uint8_t> hit;  // one per row
+};
 
 /// The unit operators exchange (docs/RUNTIME.md): a schema plus one typed
 /// column per field, every column holding num_rows() cells. The columns
@@ -36,11 +47,15 @@ class Chunk {
   std::vector<ColumnBuilder>& cols() { return cols_; }
   const std::vector<ColumnBuilder>& cols() const { return cols_; }
 
+  const ViewHits& view_hits() const { return view_hits_; }
+  void set_view_hits(ViewHits hits) { view_hits_ = std::move(hits); }
+
   /// Row r as Values.
   Row RowAt(size_t r) const;
   /// Appends one row (cells past the end of `row` are NULL).
   void AppendRow(const Row& row);
-  /// Keeps the rows r with keep[r] != 0, in order.
+  /// Keeps the rows r with keep[r] != 0, in order (dropping a row drops
+  /// the view verdict).
   void Filter(const std::vector<uint8_t>& keep);
   /// Appends every row, as Values, to `out`.
   void AppendTo(Batch* out) const;
@@ -50,6 +65,7 @@ class Chunk {
   Schema schema_;
   std::vector<ColumnBuilder> cols_;
   size_t rows_ = 0;
+  ViewHits view_hits_;
 };
 
 }  // namespace eva::exec

@@ -669,8 +669,10 @@ class ApplyOp : public Operator {
 // unsatisfiable are skipped: their hits keep identical metrics, access
 // stamps, and probe charges, but the kReadView charge and the output rows
 // are dropped — the residual FilterNode above would discard those rows
-// anyway (and STORE skips keys already present), so query results are
-// unchanged at any thread count.
+// anyway (and their keys are already stored), so query results are
+// unchanged at any thread count. Each output chunk carries the hit/miss
+// verdict (ViewHits) so STORE appends the computed rows without looking
+// their keys up again.
 // ---------------------------------------------------------------------------
 
 class ViewJoinOp : public Operator {
@@ -725,6 +727,7 @@ class ViewJoinOp : public Operator {
         child_(std::move(child)),
         def_(std::move(def)),
         view_name_(std::move(view_name)),
+        hashstash_(scan_all),
         scan_all_pending_(scan_all),
         residual_(std::move(residual)),
         value_schema_(UdfOutputSchema(def_)) {
@@ -822,11 +825,17 @@ class ViewJoinOp : public Operator {
     hits_ = 0;
     misses_ = 0;
     hit_frames_.clear();
+    row_hits_.clear();
+    passed_ = false;
 
     Chunk out = def_.kind == UdfKind::kDetector
                     ? JoinDetector(std::move(in), view != nullptr)
                     : JoinSingle(std::move(in), view != nullptr);
     RecordProbes(view);
+    // A row passed through from an earlier view was not classified here.
+    if (!hashstash_ && !passed_) {
+      out.set_view_hits({view_name_, std::move(row_hits_)});
+    }
     return out;
   }
 
@@ -862,6 +871,7 @@ class ViewJoinOp : public Operator {
       if (actions_[r] == kPass) {
         FlushRun(&outs);
         src.push_back(row);
+        passed_ = true;
         for (size_t c = 0; c < n_outputs; ++c) {
           if (base + c < in.num_cols()) {
             outs[c].AppendRange(in.col(base + c), r, 1, &pass_remaps[c]);
@@ -875,6 +885,7 @@ class ViewJoinOp : public Operator {
       if (oc == nullptr) {
         FlushRun(&outs);
         src.push_back(row);
+        row_hits_.push_back(0);
         for (ColumnBuilder& c : outs) c.AppendNull();
         continue;
       }
@@ -885,6 +896,8 @@ class ViewJoinOp : public Operator {
                    ctx_->costs.view_read_ms_per_row *
                        static_cast<double>(oc->rows_count));
       src.insert(src.end(), static_cast<size_t>(oc->rows_count), row);
+      row_hits_.insert(row_hits_.end(), static_cast<size_t>(oc->rows_count),
+                       1);
       ExtendRun(*oc, oc->rows_count, &outs);
     }
     FlushRun(&outs);
@@ -909,27 +922,31 @@ class ViewJoinOp : public Operator {
         FlushRun(&vals);
         vals[0].AppendRange(in.col(static_cast<size_t>(out_idx_)), r, 1,
                             &pass_remap);
+        passed_ = true;
         continue;
       }
       if (actions_[r] == kNullOut) {
         FlushRun(&vals);
         vals[0].AppendNull();
+        row_hits_.push_back(0);
         continue;
       }
       const storage::ProbeOutcome* oc = NextOutcome(have_view, ids.Int64At(r));
       if (oc == nullptr) {
         FlushRun(&vals);
         vals[0].AppendNull();
+        row_hits_.push_back(0);
         continue;
       }
       if (oc->status != storage::ProbeStatus::kHit) {
-        // kHitSkipped: drop the row — STORE finds its key present (no
-        // Put) and the residual filter above would discard it.
+        // kHitSkipped: drop the row — its key is stored already and the
+        // residual filter above would discard it.
         keep_[r] = 0;
         dropped = true;
         continue;
       }
       ctx_->Charge(CostCategory::kReadView, ctx_->costs.view_read_ms_per_row);
+      row_hits_.push_back(1);
       if (oc->rows_count == 0) {
         FlushRun(&vals);
         vals[0].AppendNull();
@@ -1035,6 +1052,7 @@ class ViewJoinOp : public Operator {
   OperatorPtr child_;
   UdfDef def_;
   std::string view_name_;
+  bool hashstash_;  // HashStash plans keep STORE's presence lookups
   bool scan_all_pending_;
   expr::ExprPtr residual_;
   Schema value_schema_;  // the view's value schema (zone-check resolution)
@@ -1057,6 +1075,8 @@ class ViewJoinOp : public Operator {
   int64_t hits_ = 0;
   int64_t misses_ = 0;
   std::vector<int64_t> hit_frames_;  // one per hit, in probe order
+  std::vector<uint8_t> row_hits_;    // the chunk's ViewHits::hit
+  bool passed_ = false;              // some row passed through
   obs::Counter* probe_hits_ = nullptr;
   obs::Counter* probe_misses_ = nullptr;
   obs::Counter* segments_skipped_ = nullptr;
@@ -1133,7 +1153,15 @@ class CondApplyOp : public Operator {
                            EvalMorsels(ctx_, n, n_outputs, fn));
       std::vector<ColumnBuilder> cols = GatherColumns(&in, base, part.src);
       for (ColumnBuilder& c : part.cols) cols.push_back(std::move(c));
-      return Chunk(output_schema_, std::move(cols), part.src.size());
+      Chunk out(output_schema_, std::move(cols), part.src.size());
+      if (const ViewHits& from = in.view_hits(); !from.view.empty()) {
+        // Detections inherit the verdict of the row they replace.
+        ViewHits to{from.view, {}};
+        to.hit.reserve(part.src.size());
+        for (uint32_t r : part.src) to.hit.push_back(from.hit[r]);
+        out.set_view_hits(std::move(to));
+      }
+      return out;
     }
     // Classifier / filter UDF: fill the NULL cells of the output column
     // (a classifier row without an object stays NULL).
@@ -1192,9 +1220,13 @@ class CondApplyOp : public Operator {
 // ---------------------------------------------------------------------------
 // Store: appends fresh UDF results to the materialized view (Fig. 4 step
 // 3). Append-only and idempotent: keys already present are skipped, so
-// rows that came from the view flow through for free. Each chunk is one
-// batch Put — column slices under one view lock — after which the
-// kMaterialize charges and access ticks follow the inserted keys in order.
+// rows that came from the view flow through for free. Under a ViewJoin
+// over the same view the chunk's verdict says which rows those are: they
+// are skipped outright and the computed rest is put as absent keys, with
+// no presence lookups. Without one (plain Apply, HashStash) Put looks
+// every key up. Each chunk is one batch Put — column slices under one
+// view lock — after which the kMaterialize charges and access ticks
+// follow the inserted keys in order.
 // ---------------------------------------------------------------------------
 
 class StoreOp : public Operator {
@@ -1245,22 +1277,30 @@ class StoreOp : public Operator {
         obj_idx_ >= 0 ? &in->col(static_cast<size_t>(obj_idx_)) : nullptr;
     keys_.clear();
     sel_.clear();
+    // Rows the ViewJoin below answered from this very view.
+    const bool verdict = in->view_hits().view == view_name_;
+    const uint8_t* hit = verdict ? in->view_hits().hit.data() : nullptr;
     size_t first_col = 0;
     bool placeholders = false;
     if (def_.kind == UdfKind::kDetector) {
       // One key per run of a frame's rows; its stored rows are those with
       // a non-null obj. A NULL obj is the placeholder of a processed frame
       // with zero objects: the key is recorded, the row is dropped here.
+      bool in_run = false;  // a hit ends the run of the key before it
       for (size_t r = 0; r < n; ++r) {
-        const int64_t frame = ids.Int64At(r);
-        if (keys_.empty() || keys_.back().key.frame != frame) {
-          const uint32_t at = static_cast<uint32_t>(sel_.size());
-          keys_.push_back({ViewKey{frame, -1}, at, at});
-        }
-        if (objs->IsNull(r)) {
-          placeholders = true;
+        const bool null_obj = objs->IsNull(r);
+        placeholders |= null_obj;
+        if (hit != nullptr && hit[r] != 0) {
+          in_run = false;
           continue;
         }
+        const int64_t frame = ids.Int64At(r);
+        if (!in_run || keys_.back().key.frame != frame) {
+          const uint32_t at = static_cast<uint32_t>(sel_.size());
+          keys_.push_back({ViewKey{frame, -1}, at, at});
+          in_run = true;
+        }
+        if (null_obj) continue;
         sel_.push_back(static_cast<uint32_t>(r));
         keys_.back().end = static_cast<uint32_t>(sel_.size());
       }
@@ -1270,7 +1310,7 @@ class StoreOp : public Operator {
       // Classifier / filter UDF: one row per key with a value.
       const ColumnBuilder& vals = in->col(static_cast<size_t>(val_idx_));
       for (size_t r = 0; r < n; ++r) {
-        if (vals.IsNull(r)) continue;
+        if ((hit != nullptr && hit[r] != 0) || vals.IsNull(r)) continue;
         int64_t obj = -1;
         if (def_.kind == UdfKind::kClassifier) {
           if (objs->IsNull(r)) continue;
@@ -1287,7 +1327,10 @@ class StoreOp : public Operator {
     // tick sequences independent of how many keys were already present.
     const int64_t stored = view->Put(
         keys_, sel_, std::span<const ColumnBuilder>(in->cols()).subspan(first_col),
-        ctx_->views->current_tick() + 1, ctx_->query_id, &inserted_);
+        ctx_->views->current_tick() + 1, ctx_->query_id, &inserted_,
+        /*absent=*/verdict);
+    // Spent: the misses are present now.
+    in->set_view_hits({});
     if (stored > 0) ctx_->views->NextAccessTicks(static_cast<uint64_t>(stored));
     int64_t rows = 0;
     for (size_t i = 0; i < keys_.size(); ++i) {

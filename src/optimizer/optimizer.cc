@@ -385,6 +385,7 @@ Result<OptimizedQuery> Optimizer::Optimize(
       if (!d.admit) materialize = false;
     }
     if (!materialize) {
+      out.report.covered &= !candidate;
       auto apply = std::make_shared<plan::ApplyNode>(udf_name);
       apply->AddChild(node);
       node = apply;
@@ -407,6 +408,9 @@ Result<OptimizedQuery> Optimizer::Optimize(
                                          &sym_stats);
       usable_coverage = diff.ok() && diff.value().DefinitelyFalse();
     }
+    out.report.covered =
+        out.report.covered && usable_coverage &&
+        (hashstash || manager_->Covers(key, assoc_now, options_.budget));
     if (usable_coverage) {
       auto join = std::make_shared<plan::ViewJoinNode>(udf_name, key);
       join->set_scan_all_for_dedup(hashstash);
@@ -520,12 +524,15 @@ Result<OptimizedQuery> Optimizer::Optimize(
             std::make_shared<plan::CondApplyNode>(sel.execute_udf);
         cond->AddChild(node);
         node = cond;
+        out.report.covered = false;  // STORE may copy sibling rows
       } else if (materialize &&
                  (manager_->HasCoverage(exec_key) ||
                   (views_ != nullptr && views_->Find(exec_key) != nullptr &&
                    views_->Find(exec_key)->num_keys() > 0))) {
         auto join = std::make_shared<plan::ViewJoinNode>(sel.execute_udf,
                                                          exec_key);
+        out.report.covered = out.report.covered &&
+                             manager_->Covers(exec_key, q_det, options_.budget);
         join->AddChild(node);
         auto cond =
             std::make_shared<plan::CondApplyNode>(sel.execute_udf);
@@ -533,6 +540,7 @@ Result<OptimizedQuery> Optimizer::Optimize(
         node = cond;
       } else {
         auto apply = std::make_shared<plan::ApplyNode>(sel.execute_udf);
+        out.report.covered = false;
         apply->set_emit_presence_placeholders(materialize);
         apply->AddChild(node);
         node = apply;

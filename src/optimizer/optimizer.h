@@ -84,6 +84,9 @@ struct OptimizeReport {
   int64_t symbolic_cache_hits = 0;
   int64_t symbolic_cache_misses = 0;
   int64_t symbolic_cells_pruned = 0;
+  /// A covered read: every candidate UDF is answered from its view with
+  /// p– = FALSE, so the plan computes and stores nothing.
+  bool covered = true;
 };
 
 /// Renders the admission decisions as "admission: ..." lines, appended to

@@ -1,10 +1,12 @@
 #include "storage/column_segment.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <unordered_map>
+#include <numeric>
 
 namespace eva::storage {
 
@@ -21,6 +23,9 @@ constexpr size_t kMaxDictCardinality = 65536;
 
 // Numeric dictionaries stop being considered past this distinct count.
 constexpr size_t kMaxNumDictCardinality = 4096;
+
+// String dictionaries up to this size are searched by a scan, not hashed.
+constexpr size_t kScanDictSize = 8;
 
 void SetNullBit(std::vector<uint64_t>* bits, size_t i) {
   (*bits)[i >> 6] |= uint64_t{1} << (i & 63);
@@ -83,23 +88,45 @@ void BuildRuns(const std::vector<T>& v, std::vector<T>* values,
   }
 }
 
-// First-occurrence dictionary over an integer-comparable lane. Returns
-// false when the cardinality cap is hit.
+// Byte cost of the numeric dictionary codec: d >= 1 distinct values plus
+// n bit-packed indexes.
+size_t DictCost(size_t n, size_t d) {
+  return d * 8 + BitPackedVec::PackedBytes(n, BitPackedVec::WidthFor(d - 1));
+}
+
+// First-occurrence dictionary over an integer-comparable lane: `dict` gets
+// each distinct value once, (*codes)[i] the code of v[i]. The table is
+// flat and open-addressed (slot = code + 1, 0 = empty) in thread-local
+// scratch, since seals run on any thread. Returns false as soon as the
+// dictionary passes the cardinality cap or costs more than `max_cost`
+// bytes: its cost only grows with its size, so it can no longer win.
 template <typename T>
-bool BuildNumDict(const std::vector<T>& v, std::vector<T>* dict,
-                  std::vector<uint64_t>* indexes) {
+bool BuildNumDict(const std::vector<T>& v, size_t max_cost,
+                  std::vector<T>* dict, std::vector<uint64_t>* codes) {
+  thread_local std::vector<uint32_t> slots;
+  const size_t n = v.size();
+  const size_t cap =
+      std::bit_ceil(2 * std::min(n, kMaxNumDictCardinality + 1));
+  const int shift = 64 - std::countr_zero(cap);
+  slots.assign(cap, 0);
   dict->clear();
-  indexes->clear();
-  indexes->reserve(v.size());
-  std::unordered_map<T, uint64_t> seen;
-  for (const T& x : v) {
-    auto it = seen.find(x);  // find first: emplace allocates a node
-    if (it == seen.end()) {
-      it = seen.emplace(x, dict->size()).first;
+  codes->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const T x = v[i];
+    size_t h = static_cast<size_t>(
+        (static_cast<uint64_t>(x) * 0x9E3779B97F4A7C15ULL) >> shift);
+    uint32_t s;
+    while ((s = slots[h]) != 0 && (*dict)[s - 1] != x) h = (h + 1) & (cap - 1);
+    if (s == 0) {
       dict->push_back(x);
-      if (dict->size() > kMaxNumDictCardinality) return false;
+      if (dict->size() > kMaxNumDictCardinality ||
+          DictCost(n, dict->size()) > max_cost) {
+        return false;
+      }
+      s = static_cast<uint32_t>(dict->size());
+      slots[h] = s;
     }
-    indexes->push_back(it->second);
+    (*codes)[i] = s - 1;
   }
   return true;
 }
@@ -225,15 +252,13 @@ void CompressColumn(ColumnVec* col) {
       size_t cost_for = BitPackedVec::PackedBytes(n, for_w) + 8;
       size_t runs = CountRuns(eff);
       size_t cost_rle = runs * 12;  // 8 B value + 4 B run end
+      // The dictionary must beat every other codec outright (ties go to
+      // the earlier Codec value).
       std::vector<int64_t> dict;
       std::vector<uint64_t> idx;
-      bool dict_ok = BuildNumDict(eff, &dict, &idx);
-      int dict_w =
-          dict_ok ? BitPackedVec::WidthFor(dict.empty() ? 0 : dict.size() - 1)
-                  : 0;
-      size_t cost_dict = dict_ok ? dict.size() * 8 +
-                                       BitPackedVec::PackedBytes(n, dict_w)
-                                 : ~size_t{0};
+      const bool dict_ok = BuildNumDict(
+          eff, std::min({cost_plain, cost_for, cost_rle}) - 1, &dict, &idx);
+      size_t cost_dict = dict_ok ? DictCost(n, dict.size()) : ~size_t{0};
       size_t best = std::min({cost_plain, cost_for, cost_rle, cost_dict});
       if (best == cost_plain) return;
       if (best == cost_for) {
@@ -254,7 +279,7 @@ void CompressColumn(ColumnVec* col) {
         col->i64_.shrink_to_fit();
         col->codec_ = ColumnVec::Codec::kRle;
       } else {
-        col->packed_.Pack(idx, dict_w);
+        col->packed_.Pack(idx, BitPackedVec::WidthFor(dict.size() - 1));
         col->i64_ = std::move(dict);
         col->i64_.shrink_to_fit();
         col->codec_ = ColumnVec::Codec::kDictNum;
@@ -269,29 +294,32 @@ void CompressColumn(ColumnVec* col) {
       size_t cost_plain = 8 * n;
       size_t runs = CountRuns(eff);
       size_t cost_rle = runs * 12;
-      std::vector<uint64_t> dict;
-      std::vector<uint64_t> idx;
-      bool dict_ok = BuildNumDict(eff, &dict, &idx);
-      int dict_w =
-          dict_ok ? BitPackedVec::WidthFor(dict.empty() ? 0 : dict.size() - 1)
-                  : 0;
-      size_t cost_dict = dict_ok ? dict.size() * 8 +
-                                       BitPackedVec::PackedBytes(n, dict_w)
-                                 : ~size_t{0};
       // Sign/exponent prefix dictionary + packed 52-bit mantissas: the
       // codec of last resort for high-entropy doubles (detector areas and
       // scores), whose 12-bit prefix takes a handful of values while the
       // mantissa is incompressible. At most 4096 distinct prefixes exist,
-      // so this dictionary never overflows.
-      std::vector<uint64_t> prefixes(n);
-      for (size_t i = 0; i < n; ++i) prefixes[i] = eff[i] >> 52;
+      // so a flat array indexed by prefix holds their codes.
+      std::array<int16_t, 4096> exp_code;
+      exp_code.fill(-1);
       std::vector<uint64_t> exp_dict;
-      std::vector<uint64_t> exp_idx;
-      BuildNumDict(prefixes, &exp_dict, &exp_idx);
-      int exp_w = 52 + BitPackedVec::WidthFor(
-                           exp_dict.empty() ? 0 : exp_dict.size() - 1);
+      for (uint64_t b : eff) {
+        int16_t& code = exp_code[b >> 52];
+        if (code < 0) {
+          code = static_cast<int16_t>(exp_dict.size());
+          exp_dict.push_back(b >> 52);
+        }
+      }
+      int exp_w = 52 + BitPackedVec::WidthFor(exp_dict.size() - 1);
       size_t cost_exp =
           exp_dict.size() * 8 + BitPackedVec::PackedBytes(n, exp_w);
+      // The value dictionary must beat plain and RLE outright and at
+      // least tie the prefix dictionary (ties go to the earlier Codec).
+      std::vector<uint64_t> dict;
+      std::vector<uint64_t> idx;
+      const bool dict_ok = BuildNumDict(
+          eff, std::min(std::min(cost_plain, cost_rle) - 1, cost_exp), &dict,
+          &idx);
+      size_t cost_dict = dict_ok ? DictCost(n, dict.size()) : ~size_t{0};
       size_t best = std::min({cost_plain, cost_rle, cost_dict, cost_exp});
       if (best == cost_plain) return;
       auto to_double = [](uint64_t b) {
@@ -308,7 +336,7 @@ void CompressColumn(ColumnVec* col) {
         col->f64_.shrink_to_fit();
         col->codec_ = ColumnVec::Codec::kRle;
       } else if (best == cost_dict) {
-        col->packed_.Pack(idx, dict_w);
+        col->packed_.Pack(idx, BitPackedVec::WidthFor(dict.size() - 1));
         col->f64_.clear();
         col->f64_.reserve(dict.size());
         for (uint64_t b : dict) col->f64_.push_back(to_double(b));
@@ -318,7 +346,8 @@ void CompressColumn(ColumnVec* col) {
         constexpr uint64_t kMantissa = (uint64_t{1} << 52) - 1;
         std::vector<uint64_t> lane(n);
         for (size_t i = 0; i < n; ++i) {
-          lane[i] = (exp_idx[i] << 52) | (eff[i] & kMantissa);
+          lane[i] = (static_cast<uint64_t>(exp_code[eff[i] >> 52]) << 52) |
+                    (eff[i] & kMantissa);
         }
         col->packed_.Pack(lane, exp_w);
         col->i64_.assign(exp_dict.begin(), exp_dict.end());
@@ -504,17 +533,26 @@ void ColumnBuilder::MakeRaw() {
 }
 
 int32_t ColumnBuilder::CodeOf(const std::string& v) {
-  if (dict_index_.size() != lane_.dict_.size()) {
+  std::vector<std::string>& dict = lane_.dict_;
+  if (dict.size() <= kScanDictSize) {
+    // Labels come from small vocabularies: a short scan beats hashing.
+    // The index is built once the dictionary outgrows the scan.
+    for (size_t k = 0; k < dict.size(); ++k) {
+      if (dict[k] == v) return static_cast<int32_t>(k);
+    }
+    dict.push_back(v);
+    return static_cast<int32_t>(dict.size() - 1);
+  }
+  if (dict_index_.size() != dict.size()) {
     dict_index_.clear();
-    for (size_t k = 0; k < lane_.dict_.size(); ++k) {
-      dict_index_.emplace(lane_.dict_[k], static_cast<int32_t>(k));
+    for (size_t k = 0; k < dict.size(); ++k) {
+      dict_index_.emplace(dict[k], static_cast<int32_t>(k));
     }
   }
   auto it = dict_index_.find(v);
   if (it == dict_index_.end()) {
-    it = dict_index_.emplace(v, static_cast<int32_t>(lane_.dict_.size()))
-             .first;
-    lane_.dict_.push_back(v);
+    it = dict_index_.emplace(v, static_cast<int32_t>(dict.size())).first;
+    dict.push_back(v);
   }
   return it->second;
 }
@@ -835,17 +873,22 @@ std::shared_ptr<const ColumnarSegment> SealSegment(
     const ColumnarSegment* sealed, const SegmentBuilder& open,
     const SegmentBuildOptions& options) {
   // Open keys in (frame, obj) order; Put guarantees they are disjoint
-  // from the sealed ones.
+  // from the sealed ones. Put nearly always appends them in order, so
+  // they are sorted only when one is found out of order.
   std::vector<uint32_t> order(open.num_keys());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = static_cast<uint32_t>(i);
+  std::iota(order.begin(), order.end(), 0);
+  bool in_order = true;
+  for (size_t i = 1; i < order.size() && in_order; ++i) {
+    in_order = open.key(i - 1) < open.key(i);
   }
-  std::sort(order.begin(), order.end(), [&open](uint32_t a, uint32_t b) {
-    return open.key(a) < open.key(b);
-  });
+  if (!in_order) {
+    std::sort(order.begin(), order.end(), [&open](uint32_t a, uint32_t b) {
+      return open.key(a) < open.key(b);
+    });
+  }
   std::vector<ColumnVec> lanes;
   lanes.reserve(open.num_cols());
-  if (sealed == nullptr && std::is_sorted(order.begin(), order.end())) {
+  if (sealed == nullptr && in_order) {
     // Keys were put in order: the open lanes are the sealed ones.
     std::vector<int32_t> row_begin(open.num_keys() + 1);
     for (size_t k = 0; k <= open.num_keys(); ++k) {

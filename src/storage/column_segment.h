@@ -394,8 +394,9 @@ class ColumnBuilder {
   ColumnVec lane_;
   DataType type_ = DataType::kNull;  // kNull until the first non-null cell
   size_t n_ = 0;
-  /// String -> code over lane_.dict_; rebuilt when it falls behind the
-  /// dictionary (a Gather copies the dictionary, not the index).
+  /// String -> code over lane_.dict_, used once the dictionary outgrows a
+  /// scan; rebuilt when it falls behind the dictionary (a Gather copies the
+  /// dictionary, not the index).
   std::unordered_map<std::string, int32_t> dict_index_;
 };
 

@@ -57,7 +57,7 @@ int64_t MaterializedView::Put(std::span<const KeyRows> keys,
                              std::span<const uint32_t> sel,
                              std::span<const ColumnBuilder> cols,
                              uint64_t first_tick, int64_t query_id,
-                             std::vector<uint8_t>* inserted) {
+                             std::vector<uint8_t>* inserted, bool absent) {
   inserted->assign(keys.size(), 0);
   int64_t count = 0;
   std::unique_lock<std::shared_mutex> lock(mu_);
@@ -66,6 +66,7 @@ int64_t MaterializedView::Put(std::span<const KeyRows> keys,
   int64_t cur_id = 0;
   auto it = segments_.end();
   size_t cursor = 0;
+  ViewKey max_key;  // largest key so far in the batch
   for (size_t i = 0; i < keys.size(); ++i) {
     const ViewKey& key = keys[i].key;
     const int64_t seg_id = SegmentOf(key.frame);
@@ -74,7 +75,11 @@ int64_t MaterializedView::Put(std::span<const KeyRows> keys,
       it = segments_.find(seg_id);
       cursor = 0;
     }
-    if (it != segments_.end() &&
+    // A key of an absent batch that ascends past every earlier one cannot
+    // be present; any other key may repeat one inserted earlier.
+    const bool ascends = i == 0 || max_key < key;
+    if (ascends) max_key = key;
+    if (!(absent && ascends) && it != segments_.end() &&
         (FindSealed(it->second, key, &cursor) != ColumnarSegment::npos ||
          (it->second.open != nullptr &&
           it->second.open->Find(key) != SegmentBuilder::npos))) {
@@ -212,6 +217,28 @@ void MaterializedView::AdoptSegment(const std::vector<ViewKey>& keys,
   if (capture_appends_) {
     append_log_.insert(append_log_.end(), keys.begin(), keys.end());
   }
+}
+
+std::unique_ptr<MaterializedView> MaterializedView::Clone() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto out = std::make_unique<MaterializedView>(name_, value_schema_);
+  for (const auto& [id, s] : segments_) {
+    Segment& copy = out->segments_[id];
+    copy.info = s.info;
+    copy.zone = s.zone;
+    copy.sealed = s.sealed;
+    if (s.open != nullptr) copy.open = std::make_unique<SegmentBuilder>(*s.open);
+    copy.read.store(s.read.load(std::memory_order_relaxed));
+  }
+  out->num_keys_ = num_keys_;
+  out->num_rows_ = num_rows_;
+  out->segment_frames_ = segment_frames_;
+  out->build_options_ = build_options_;
+  out->seal_totals_ = seal_totals_;
+  out->last_access_query_ = last_access_query_;
+  out->capture_appends_ = capture_appends_;
+  out->append_log_ = append_log_;
+  return out;
 }
 
 void MaterializedView::SealLocked(Segment* s) const {

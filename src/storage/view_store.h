@@ -22,7 +22,7 @@ namespace eva::storage {
 /// Per-segment bookkeeping for segment-granular eviction (src/lifecycle/).
 /// A segment is a contiguous frame range [segment_id * segment_frames,
 /// (segment_id + 1) * segment_frames); classifier keys (frame, obj) fall in
-/// the segment of their frame. Ticks come from ViewStore::NextAccessTick()
+/// the segment of their frame. Ticks come from ViewStore::NextAccessTicks()
 /// and are assigned only from driver-thread call sites, so they are
 /// deterministic at any worker-thread count.
 struct SegmentInfo {
@@ -186,12 +186,16 @@ class MaterializedView {
   /// copied lane to lane into its segment's open part (a value column past
   /// the end of `cols` stores NULL). Keys are taken in order; a key already
   /// present (or inserted earlier in the batch) is skipped (append-only
-  /// STORE semantics). The j-th inserted key is stamped with tick
-  /// `first_tick + j` and `query_id` for eviction scoring. Sets
-  /// (*inserted)[i] and returns the number of keys inserted.
+  /// STORE semantics). `absent` promises that no key of the batch was in
+  /// the view when the call began (ViewJoin missed them all): a key that
+  /// ascends past every earlier one is then appended without a presence
+  /// lookup. The j-th inserted key is stamped with tick `first_tick + j`
+  /// and `query_id` for eviction scoring. Sets (*inserted)[i] and returns
+  /// the number of keys inserted.
   int64_t Put(std::span<const KeyRows> keys, std::span<const uint32_t> sel,
               std::span<const ColumnBuilder> cols, uint64_t first_tick,
-              int64_t query_id, std::vector<uint8_t>* inserted);
+              int64_t query_id, std::vector<uint8_t>* inserted,
+              bool absent = false);
   /// Keys with their rows as column lanes: the rows of keys[i] are cells
   /// [keys[i].begin, keys[i].end) of every column (a KeyRows selection
   /// over the identity).
@@ -324,6 +328,10 @@ class MaterializedView {
     return out;
   }
 
+  /// Deep copy: rows, segment stamps and read flags, settings. Sealed
+  /// parts are immutable and shared.
+  std::unique_ptr<MaterializedView> Clone() const;
+
  private:
   /// One frame-range segment: each key and row lives either in the sealed
   /// part or in the open builder, never in both.
@@ -405,11 +413,10 @@ class ViewStore {
     return views_;
   }
 
-  /// Monotone tick for segment access stamps. Drawn only from
-  /// driver-thread call sites (ViewJoin hits, STORE inserts), so the
-  /// sequence is deterministic regardless of worker-thread count.
-  uint64_t NextAccessTick() { return ++segment_clock_; }
-  /// Draws `n` consecutive ticks at once and returns the first.
+  /// Draws `n` consecutive ticks of the monotone segment access clock and
+  /// returns the first. Drawn only from driver-thread call sites (ViewJoin
+  /// hits, STORE inserts), so the sequence is deterministic regardless of
+  /// worker-thread count.
   uint64_t NextAccessTicks(uint64_t n) {
     return segment_clock_.fetch_add(n) + 1;
   }
@@ -442,6 +449,25 @@ class ViewStore {
 
   /// Cumulative seal accounting across every view (engine metrics).
   const SealTotals& seal_totals() const { return seal_totals_; }
+
+  /// Deep copies of every view plus the access clock, which Restore puts
+  /// back (a failed WAL recovery rolls back with them). Seal totals are
+  /// cumulative and are not rolled back.
+  struct Snapshot {
+    std::map<std::string, std::unique_ptr<MaterializedView>> views;
+    uint64_t clock = 0;
+  };
+  Snapshot TakeSnapshot() const {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    Snapshot out{{}, segment_clock_.load()};
+    for (const auto& [name, view] : views_) out.views[name] = view->Clone();
+    return out;
+  }
+  void Restore(Snapshot snapshot) {
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    views_ = std::move(snapshot.views);
+    segment_clock_.store(snapshot.clock);
+  }
 
   /// Seals every segment of every view (lifecycle accounting / save).
   /// Driver-thread cadence like views().

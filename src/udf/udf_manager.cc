@@ -133,6 +133,23 @@ Result<symbolic::Predicate> UdfManager::DiffCoverage(
   // in coverage cells and q-independent, so reuse the per-epoch cached
   // complement and replay the same And — identical inputs, identical
   // result (including a replayed budget-exhaustion error from Not).
+  Result<symbolic::Predicate> r =
+      EnsureComplement(entry, budget).ok()
+          ? symbolic::Predicate::And(*entry.complement, q, budget)
+          : Result<symbolic::Predicate>(entry.complement_status);
+  if (slot == nullptr) slot = op_cache_.Insert(entry.epoch, qhash, q);
+  slot->has_diff = true;
+  if (r.ok()) {
+    slot->diff_status = Status::OK();
+    slot->diff_value = r.value();
+  } else {
+    slot->diff_status = r.status();
+  }
+  return r;
+}
+
+const Status& UdfManager::EnsureComplement(
+    const UdfEntry& entry, const symbolic::SymbolicBudget& budget) const {
   if (!entry.complement_valid || entry.complement_epoch != entry.epoch ||
       entry.complement_budget_conjuncts != budget.max_conjuncts ||
       entry.complement_budget_passes != budget.max_reduce_passes) {
@@ -147,19 +164,21 @@ Result<symbolic::Predicate> UdfManager::DiffCoverage(
     entry.complement_budget_conjuncts = budget.max_conjuncts;
     entry.complement_budget_passes = budget.max_reduce_passes;
   }
-  Result<symbolic::Predicate> r =
-      entry.complement_status.ok()
-          ? symbolic::Predicate::And(*entry.complement, q, budget)
-          : Result<symbolic::Predicate>(entry.complement_status);
-  if (slot == nullptr) slot = op_cache_.Insert(entry.epoch, qhash, q);
-  slot->has_diff = true;
-  if (r.ok()) {
-    slot->diff_status = Status::OK();
-    slot->diff_value = r.value();
-  } else {
-    slot->diff_status = r.status();
+  return entry.complement_status;
+}
+
+bool UdfManager::Covers(const std::string& key, const symbolic::Predicate& q,
+                        const symbolic::SymbolicBudget& budget) const {
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.coverage.IsFalse()) {
+    symbolic::Predicate out = q;  // DiffCoverage's p1-false path
+    out.Reduce(budget);
+    return out.DefinitelyFalse();
   }
-  return r;
+  WallAccumulator wall(&symbolic_wall_us_);
+  if (!EnsureComplement(it->second, budget).ok()) return false;
+  auto diff = symbolic::Predicate::And(*it->second.complement, q, budget);
+  return diff.ok() && diff.value().DefinitelyFalse();
 }
 
 void UdfManager::UpdateCoverage(const std::string& key,

@@ -114,6 +114,12 @@ class UdfManager {
       const symbolic::SymbolicBudget& budget = {},
       SymbolicOpStats* stats = nullptr) const;
 
+  /// True when DIFF(p_u, q) is FALSE: q asks for nothing the coverage
+  /// misses. Shares DiffCoverage's per-epoch complement but neither reads
+  /// nor fills its remainder cache, so it moves no cache counter.
+  bool Covers(const std::string& key, const symbolic::Predicate& q,
+              const symbolic::SymbolicBudget& budget = {}) const;
+
   /// p_u ← UNION(p_u, q) after the optimizer schedules evaluation of the
   /// UDF under predicate `q` (§4.1). Maintained incrementally (only pairs
   /// touching an appended cell are revisited) while the coverage sits at
@@ -188,6 +194,10 @@ class UdfManager {
   void BumpEpoch(UdfEntry* entry);
   /// The entry's interval index for its current epoch, building on demand.
   const symbolic::CellIndex* EnsureIndex(const UdfEntry& entry) const;
+  /// The entry's NOT(coverage) for its current epoch and `budget`,
+  /// computing it on demand; returns its status.
+  const Status& EnsureComplement(const UdfEntry& entry,
+                                 const symbolic::SymbolicBudget& budget) const;
   /// Cache key: canonical query hash mixed with the budget (the budget
   /// changes which Status a blown operation returns).
   static uint64_t CacheHash(const symbolic::Predicate& q,

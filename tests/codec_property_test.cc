@@ -11,7 +11,9 @@
 #include <cstring>
 #include <limits>
 #include <set>
+#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/eva_engine.h"
@@ -467,6 +469,340 @@ TEST(CodecViewDifferentialTest, CompressedFootprintNeverLarger) {
   ViewCompressionStats cs = pair.packed.CompressionStats();
   EXPECT_GT(cs.sealed_segments, 0);
   EXPECT_LT(cs.encoded_bytes, cs.raw_bytes);
+}
+
+// ---------------------------------------------------------------------------
+// Layer 2b: codec pricing differential — the seal prices the numeric
+// dictionaries in a flat table and stops once they cannot win; the oracle
+// below is the node-based hash-map pricing it replaced. Both must pick the
+// same codec and lay out the same dictionary and packed words.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+std::vector<T> OracleEffectiveLane(const ColumnVec& col,
+                                   const std::vector<T>& cells) {
+  std::vector<T> eff(cells.size());
+  T fill = T{};
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (!col.NullAt(i)) {
+      fill = cells[i];
+      break;
+    }
+  }
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (!col.NullAt(i)) fill = cells[i];
+    eff[i] = fill;
+  }
+  return eff;
+}
+
+template <typename T>
+bool OracleNumDict(const std::vector<T>& v, std::vector<T>* dict,
+                   std::vector<uint64_t>* indexes) {
+  dict->clear();
+  indexes->clear();
+  std::unordered_map<T, uint64_t> seen;
+  for (const T& x : v) {
+    auto it = seen.find(x);
+    if (it == seen.end()) {
+      it = seen.emplace(x, dict->size()).first;
+      dict->push_back(x);
+      if (dict->size() > 4096) return false;
+    }
+    indexes->push_back(it->second);
+  }
+  return true;
+}
+
+template <typename T>
+void OracleRuns(const std::vector<T>& v, std::vector<T>* values,
+                std::vector<uint32_t>* ends) {
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (i == 0 || v[i] != v[i - 1]) {
+      values->push_back(v[i]);
+      ends->push_back(static_cast<uint32_t>(i + 1));
+    } else {
+      ends->back() = static_cast<uint32_t>(i + 1);
+    }
+  }
+}
+
+size_t OracleDictCost(size_t n, size_t d) {
+  return d * 8 +
+         BitPackedVec::PackedBytes(n, BitPackedVec::WidthFor(d - 1));
+}
+
+// Int64 / Double pricing with unordered_map dictionaries, as sealed
+// segments were priced before the flat table. Other encodings are priced
+// without dictionaries, so CompressColumn is their oracle.
+void OracleCompressColumn(ColumnVec* col) {
+  const size_t n = col->n_;
+  if (col->codec_ != ColumnVec::Codec::kPlain || n == 0) return;
+  if (col->enc_ == ColumnVec::Enc::kInt64) {
+    const std::vector<int64_t> eff = OracleEffectiveLane(*col, col->i64_);
+    const auto [lo, hi] = std::minmax_element(eff.begin(), eff.end());
+    const int64_t mn = *lo;
+    const int for_w = BitPackedVec::WidthFor(static_cast<uint64_t>(*hi) -
+                                             static_cast<uint64_t>(mn));
+    std::vector<int64_t> run_vals, dict;
+    std::vector<uint32_t> run_ends;
+    std::vector<uint64_t> idx;
+    OracleRuns(eff, &run_vals, &run_ends);
+    const bool dict_ok = OracleNumDict(eff, &dict, &idx);
+    const size_t cost_plain = 8 * n;
+    const size_t cost_for = BitPackedVec::PackedBytes(n, for_w) + 8;
+    const size_t cost_rle = run_vals.size() * 12;
+    const size_t cost_dict =
+        dict_ok ? OracleDictCost(n, dict.size()) : ~size_t{0};
+    const size_t best = std::min({cost_plain, cost_for, cost_rle, cost_dict});
+    if (best == cost_plain) return;
+    if (best == cost_for) {
+      std::vector<uint64_t> deltas;
+      for (int64_t v : eff) {
+        deltas.push_back(static_cast<uint64_t>(v) -
+                         static_cast<uint64_t>(mn));
+      }
+      col->packed_.Pack(deltas, for_w);
+      col->for_base_ = mn;
+      col->i64_.clear();
+      col->codec_ = ColumnVec::Codec::kFor;
+    } else if (best == cost_rle) {
+      col->i64_ = run_vals;
+      col->rle_end_ = run_ends;
+      col->codec_ = ColumnVec::Codec::kRle;
+    } else {
+      col->packed_.Pack(idx, BitPackedVec::WidthFor(dict.size() - 1));
+      col->i64_ = dict;
+      col->codec_ = ColumnVec::Codec::kDictNum;
+    }
+    return;
+  }
+  if (col->enc_ != ColumnVec::Enc::kDouble) return CompressColumn(col);
+  std::vector<uint64_t> bits(n);
+  std::memcpy(bits.data(), col->f64_.data(), 8 * n);
+  const std::vector<uint64_t> eff = OracleEffectiveLane(*col, bits);
+  std::vector<uint64_t> run_vals, dict, idx, prefixes, exp_dict, exp_idx;
+  std::vector<uint32_t> run_ends;
+  OracleRuns(eff, &run_vals, &run_ends);
+  const bool dict_ok = OracleNumDict(eff, &dict, &idx);
+  for (uint64_t b : eff) prefixes.push_back(b >> 52);
+  OracleNumDict(prefixes, &exp_dict, &exp_idx);
+  const int exp_w = 52 + BitPackedVec::WidthFor(exp_dict.size() - 1);
+  const size_t cost_plain = 8 * n;
+  const size_t cost_rle = run_vals.size() * 12;
+  const size_t cost_dict =
+      dict_ok ? OracleDictCost(n, dict.size()) : ~size_t{0};
+  const size_t cost_exp =
+      exp_dict.size() * 8 + BitPackedVec::PackedBytes(n, exp_w);
+  const size_t best = std::min({cost_plain, cost_rle, cost_dict, cost_exp});
+  if (best == cost_plain) return;
+  auto doubles = [](const std::vector<uint64_t>& b) {
+    std::vector<double> d(b.size());
+    std::memcpy(d.data(), b.data(), 8 * b.size());
+    return d;
+  };
+  if (best == cost_rle) {
+    col->f64_ = doubles(run_vals);
+    col->rle_end_ = run_ends;
+    col->codec_ = ColumnVec::Codec::kRle;
+  } else if (best == cost_dict) {
+    col->packed_.Pack(idx, BitPackedVec::WidthFor(dict.size() - 1));
+    col->f64_ = doubles(dict);
+    col->codec_ = ColumnVec::Codec::kDictNum;
+  } else {
+    std::vector<uint64_t> lane(n);
+    for (size_t i = 0; i < n; ++i) {
+      lane[i] = (exp_idx[i] << 52) | (eff[i] & ((uint64_t{1} << 52) - 1));
+    }
+    col->packed_.Pack(lane, exp_w);
+    col->i64_.assign(exp_dict.begin(), exp_dict.end());
+    col->f64_.clear();
+    col->codec_ = ColumnVec::Codec::kExpPack;
+  }
+}
+
+// Same codec, dictionary / run values, packed words and encoded bytes.
+void ExpectSameEncoding(const ColumnVec& got, const ColumnVec& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.codec(), want.codec()) << what;
+  EXPECT_EQ(got.i64_, want.i64_) << what;
+  ASSERT_EQ(got.f64_.size(), want.f64_.size()) << what;
+  for (size_t i = 0; i < got.f64_.size(); ++i) {
+    ASSERT_TRUE(SameValue(Value(got.f64_[i]), Value(want.f64_[i])))
+        << what << " value " << i;
+  }
+  EXPECT_EQ(got.packed_.width(), want.packed_.width()) << what;
+  EXPECT_EQ(got.packed_.words(), want.packed_.words()) << what;
+  EXPECT_EQ(got.rle_end_, want.rle_end_) << what;
+  EXPECT_EQ(got.for_base_, want.for_base_) << what;
+  EXPECT_EQ(got.EncodedBytes(), want.EncodedBytes()) << what;
+}
+
+void ExpectPricedLikeOracle(const ColumnVec& plain, const std::string& what) {
+  ColumnVec got = plain;
+  ColumnVec want = plain;
+  CompressColumn(&got);
+  OracleCompressColumn(&want);
+  ExpectSameEncoding(got, want, what);
+}
+
+ColumnVec PlainDouble(const std::vector<double>& vals) {
+  ColumnVec c;
+  c.enc_ = ColumnVec::Enc::kDouble;
+  c.n_ = vals.size();
+  c.f64_ = vals;
+  return c;
+}
+
+double FromBits(uint64_t b) {
+  double d;
+  std::memcpy(&d, &b, 8);
+  return d;
+}
+
+// Nulls on the first `lead` rows and every `every`-th row after them.
+ColumnVec WithNulls(ColumnVec c, size_t lead, size_t every) {
+  c.null_bits_.assign((c.n_ + 63) / 64, 0);
+  for (size_t i = 0; i < c.n_; ++i) {
+    if (i < lead || i % every == 0) {
+      c.null_bits_[i >> 6] |= uint64_t{1} << (i & 63);
+    }
+  }
+  return c;
+}
+
+TEST(CodecPricingDifferentialTest, FlatTablePricingMatchesHashMapOracle) {
+  Lcg rng(0xD1C7);
+  std::vector<std::pair<std::string, ColumnVec>> lanes;
+  // At and around the 4096-value cap, with every value repeated five
+  // times so the dictionary wins up to the cap.
+  for (size_t distinct : {4095, 4096, 4097}) {
+    std::vector<uint64_t> pool(distinct);
+    for (uint64_t& x : pool) x = rng.Next();
+    std::vector<int64_t> iv;
+    std::vector<double> dv;
+    for (size_t i = 0; i < 5 * distinct; ++i) {
+      const uint64_t x = pool[(i * 7919) % distinct];
+      iv.push_back(static_cast<int64_t>(x));
+      dv.push_back(FromBits(x));
+    }
+    const std::string d = std::to_string(distinct);
+    lanes.emplace_back("int distinct " + d, PlainInt64(iv, {}));
+    lanes.emplace_back("double distinct " + d, PlainDouble(dv));
+  }
+  // Value pools swept across the point where the dictionary stops beating
+  // FOR (ints with outliers) and the prefix dictionary (entropy doubles).
+  for (size_t pool_size = 1; pool_size <= 600; pool_size += 13) {
+    std::vector<int64_t> ipool(pool_size);
+    std::vector<double> dpool(pool_size);
+    for (size_t k = 0; k < pool_size; ++k) {
+      ipool[k] = k % 5 == 0 ? rng.NextInt(0, INT64_MAX) : rng.NextInt(0, 1000);
+      dpool[k] = rng.NextDouble() * 100.0;
+    }
+    std::vector<int64_t> iv;
+    std::vector<double> dv;
+    for (size_t i = 0; i < 600; ++i) {  // exactly pool_size distinct
+      const size_t k = i < pool_size ? i : rng.Next() % pool_size;
+      iv.push_back(ipool[k]);
+      dv.push_back(dpool[k]);
+    }
+    const std::string p = std::to_string(pool_size);
+    lanes.emplace_back("int pool " + p, PlainInt64(iv, {}));
+    lanes.emplace_back("double pool " + p, PlainDouble(dv));
+    lanes.emplace_back("double pool nulls " + p,
+                       WithNulls(PlainDouble(dv), 5, 7));
+    lanes.emplace_back("int pool nulls " + p, WithNulls(PlainInt64(iv, {}),
+                                                        3, 11));
+  }
+  // NaN payloads and signed zeros, alone and among other values.
+  const std::vector<double> specials = {
+      0.0, -0.0, FromBits(0x7ff8000000000123ULL),
+      FromBits(0xfff8000000000001ULL),
+      std::numeric_limits<double>::quiet_NaN(), 1.25};
+  std::vector<double> sv;
+  for (int i = 0; i < 700; ++i) sv.push_back(specials[rng.Next() % 6]);
+  lanes.emplace_back("nan and signed zero", PlainDouble(sv));
+  lanes.emplace_back("nan and signed zero, nulls",
+                     WithNulls(PlainDouble(sv), 64, 5));
+  // All-equal lanes, one with a null prefix, and single rows.
+  lanes.emplace_back("int all equal", PlainInt64(std::vector<int64_t>(300, 9),
+                                                 {}));
+  lanes.emplace_back("double all equal",
+                     PlainDouble(std::vector<double>(300, -0.0)));
+  lanes.emplace_back("double all equal, null prefix",
+                     WithNulls(PlainDouble(std::vector<double>(300, 2.5)),
+                               100, 1000));
+  lanes.emplace_back("int single", PlainInt64({-4}, {}));
+  lanes.emplace_back("double single", PlainDouble({0.5}));
+  // High-entropy doubles: the prefix dictionary's lane.
+  std::vector<double> ev;
+  for (int i = 0; i < 1000; ++i) ev.push_back(rng.NextDouble() * 1e4);
+  lanes.emplace_back("entropy doubles", PlainDouble(ev));
+
+  int dictnum = 0;
+  int exppack = 0;
+  for (const auto& [what, plain] : lanes) {
+    ExpectPricedLikeOracle(plain, what);
+    ColumnVec packed = plain;
+    CompressColumn(&packed);
+    dictnum += packed.codec() == ColumnVec::Codec::kDictNum;
+    exppack += packed.codec() == ColumnVec::Codec::kExpPack;
+    if (what == "entropy doubles") {
+      EXPECT_EQ(packed.codec(), ColumnVec::Codec::kExpPack);
+    }
+    if (what.rfind("int distinct", 0) == 0) {
+      EXPECT_EQ(packed.codec() == ColumnVec::Codec::kDictNum,
+                what != "int distinct 4097")
+          << what;
+    }
+  }
+  // The sweep crosses the decision boundaries both ways.
+  EXPECT_GT(dictnum, 10);
+  EXPECT_GT(exppack, 10);
+}
+
+TEST(CodecPricingDifferentialTest, ResealOfOutOfOrderKeysMatchesOracle) {
+  // A sealed part, then open keys put out of order into the same segment:
+  // the re-seal merges them, and each lane must be what the oracle makes
+  // of the merged plain lane.
+  Schema schema({{"i", DataType::kInt64},
+                 {"score", DataType::kDouble},
+                 {"level", DataType::kDouble},
+                 {"label", DataType::kString}});
+  MaterializedView view("t@v", schema);
+  view.set_segment_frames(1024);
+  view.set_build_options({/*compress=*/true, /*bloom_bits_per_key=*/10});
+  Lcg rng(0x5EA1);
+  std::map<int64_t, Row> rows;
+  auto put = [&](int64_t f) {
+    Row row = {Value(rng.NextInt(0, 4) * 1000000007),
+               Value(rng.NextDouble()),
+               f % 9 == 0 ? Value::Null() : Value(0.25 * rng.NextInt(0, 6)),
+               Value(rng.Next() % 3 == 0 ? "bus" : "car")};
+    rows[f] = row;
+    ASSERT_TRUE(view.Put({f, -1}, {row}));
+  };
+  for (int64_t f = 0; f < 400; f += 2) put(f);
+  view.SealAllSegments();
+  for (int64_t f = 799; f > 0; f -= 2) put(f);  // descending, interleaved
+  for (int64_t f = 400; f < 800; f += 2) put(f);
+  auto segs = view.SealedSegments();
+  ASSERT_EQ(segs.size(), 1u);
+  const ColumnarSegment& seg = *segs[0].second;
+  ASSERT_EQ(seg.num_keys(), rows.size());
+  std::vector<ColumnBuilder> merged(schema.num_fields());
+  size_t k = 0;
+  for (const auto& [f, row] : rows) {
+    ASSERT_EQ(seg.key(k++), (ViewKey{f, -1}));
+    for (size_t c = 0; c < row.size(); ++c) merged[c].Append(row[c]);
+  }
+  for (size_t c = 0; c < merged.size(); ++c) {
+    ColumnVec want = merged[c].Finish();
+    OracleCompressColumn(&want);
+    ExpectSameEncoding(seg.cols[c], want, "col " + std::to_string(c));
+  }
+  EXPECT_EQ(seg.cols[0].codec(), ColumnVec::Codec::kDictNum);
+  EXPECT_EQ(seg.cols[1].codec(), ColumnVec::Codec::kExpPack);
 }
 
 // ---------------------------------------------------------------------------

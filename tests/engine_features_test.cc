@@ -1,9 +1,10 @@
 // Tests for the query-surface extensions: EXPLAIN, LIMIT, DROP UDF,
-// SHOW UDFS.
+// SHOW UDFS, and the covered-read counter.
 
 #include <gtest/gtest.h>
 
 #include "engine/eva_engine.h"
+#include "obs/metrics.h"
 #include "vbench/vbench.h"
 
 namespace eva::engine {
@@ -70,6 +71,39 @@ TEST(ExplainTest, ShowsReuseOperatorsOnWarmState) {
 TEST(ExplainTest, RejectsNonSelect) {
   auto engine = MakeEngineOrDie();
   EXPECT_FALSE(engine->Execute("EXPLAIN SHOW UDFS;").ok());
+}
+
+TEST(CoveredQueryTest, RepeatedQueryCountsAsCovered) {
+  // A covered read computes and stores nothing: the first run of a query
+  // materializes, its repeat (and any query inside its coverage) is
+  // answered from the views alone; a wider query is not.
+  auto engine = MakeEngineOrDie();
+  obs::MetricsRegistry local;
+  engine->set_metrics_registry(&local);
+  obs::Counter* covered = local.GetCounter(
+      "eva_queries_covered_total",
+      "SELECTs whose every candidate UDF had p- = FALSE at optimize time: "
+      "no CondApply work and no STORE inserts.");
+  const std::string q =
+      "SELECT id, obj, label FROM feat CROSS APPLY FasterRCNNResNet50(frame) "
+      "WHERE id < 100 AND label = 'car' AND CarType(frame, bbox) = 'Nissan';";
+  ASSERT_TRUE(engine->Execute(q).ok());
+  EXPECT_EQ(covered->Value(), 0);
+  auto again = engine->Execute(q);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(covered->Value(), 1);
+  EXPECT_EQ(again.value().metrics.invocations.at("FasterRCNNResNet50"),
+            again.value().metrics.reused.at("FasterRCNNResNet50"));
+  ASSERT_TRUE(engine
+                  ->Execute("SELECT id, obj FROM feat CROSS APPLY "
+                            "FasterRCNNResNet50(frame) WHERE id < 50;")
+                  .ok());
+  EXPECT_EQ(covered->Value(), 2);
+  ASSERT_TRUE(engine
+                  ->Execute("SELECT id, obj FROM feat CROSS APPLY "
+                            "FasterRCNNResNet50(frame) WHERE id < 150;")
+                  .ok());
+  EXPECT_EQ(covered->Value(), 2);
 }
 
 TEST(LimitTest, CapsRowCount) {

@@ -12,6 +12,10 @@
 //     bytes as Put from rows.
 //  4. CondApply (detector and classifier) emits the same rows, simulated
 //     charges and metrics at 1 and 4 worker threads.
+//  5. STORE under a ViewJoin verdict (hits skipped, misses put without
+//     presence lookups) stores the same keys, ticks and lanes as a
+//     presence-checked Put, and an Apply-only STORE still skips keys
+//     already present.
 
 #include <cmath>
 #include <cstdint>
@@ -20,6 +24,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -439,6 +444,104 @@ TEST(ChunkTest, PutFromChunkColumnsMatchesPutFromRows) {
   }
 }
 
+// What a view holds: each segment's key/row counts and access stamps, the
+// encoded bytes of its sealed form, and every stored row prefixed by its
+// key (a key with no rows reads as its key alone).
+struct ViewImage {
+  std::vector<std::tuple<int64_t, int64_t, int64_t, uint64_t, uint64_t>>
+      stamps;
+  std::vector<int64_t> encoded;
+  std::vector<Row> rows;
+};
+
+ViewImage ImageOf(const MaterializedView& view) {
+  ViewImage img;
+  for (const storage::SegmentStats& st : view.Segments()) {
+    img.stamps.emplace_back(st.segment_id, st.info.keys, st.info.rows,
+                            st.info.created_tick, st.info.last_access_tick);
+  }
+  for (const auto& [id, seg] : view.SealedSegments()) {
+    img.encoded.push_back(seg->encoded_bytes);
+    for (size_t k = 0; k < seg->num_keys(); ++k) {
+      const Row key = {Value(seg->key_frame(k)), Value(seg->key_obj(k))};
+      if (seg->row_begin_at(k) == seg->row_begin_at(k + 1)) {
+        img.rows.push_back(key);
+      }
+      for (int32_t r = seg->row_begin_at(k); r < seg->row_begin_at(k + 1);
+           ++r) {
+        Row row = key;
+        const Row cells = seg->RowAt(r);
+        row.insert(row.end(), cells.begin(), cells.end());
+        img.rows.push_back(std::move(row));
+      }
+    }
+  }
+  return img;
+}
+
+void ExpectSameImage(const ViewImage& got, const ViewImage& want,
+                     const std::string& what) {
+  EXPECT_EQ(got.stamps, want.stamps) << what;
+  EXPECT_EQ(got.encoded, want.encoded) << what;
+  ExpectRowsIdentical(got.rows, want.rows, what);
+}
+
+TEST(ChunkTest, VerdictPutMatchesPresenceCheckedPut) {
+  const Schema schema = CodecSchema();
+  MaterializedView checked("checked@v", schema);
+  MaterializedView verdict("verdict@v", schema);
+  Lcg rng(0x57043);
+  // Earlier queries stored every third frame; the first two segments are
+  // sealed, so hits land in sealed and open parts.
+  std::map<int64_t, std::vector<Row>> earlier;
+  for (int64_t f = 0; f < 200; f += 3) earlier[f] = CodecRows(f, rng);
+  for (MaterializedView* v : {&checked, &verdict}) {
+    v->set_segment_frames(64);
+    v->set_build_options({true, 10});
+    uint64_t tick = 1;
+    for (const auto& [f, rows] : earlier) {
+      v->Put(ViewKey{f, -1}, rows, tick++, 1);
+      if (f == 126) v->SealAllSegments();
+    }
+  }
+  // One STORE chunk: frames 0..199, then three keys behind the cursor —
+  // a computed miss inserted above (151) and one in a segment sealed
+  // since (7), with other rows, where the first Put must win, and a hit.
+  std::vector<int64_t> frames;
+  for (int64_t f = 0; f < 200; ++f) frames.push_back(f);
+  frames.insert(frames.end(), {151, 150, 7});
+  Chunk chunk(schema);
+  std::vector<MaterializedView::KeyRows> all;
+  std::vector<MaterializedView::KeyRows> computed;  // ViewJoin's misses
+  std::vector<uint32_t> sel;
+  for (int64_t f : frames) {
+    const uint32_t at = static_cast<uint32_t>(sel.size());
+    for (const Row& row : CodecRows(f, rng)) {
+      sel.push_back(static_cast<uint32_t>(chunk.num_rows()));
+      chunk.AppendRow(row);
+    }
+    all.push_back({ViewKey{f, -1}, at, static_cast<uint32_t>(sel.size())});
+    if (earlier.count(f) == 0) computed.push_back(all.back());
+  }
+  const uint64_t first_tick = earlier.size() + 1;
+  std::vector<uint8_t> in_checked, in_verdict;
+  const int64_t a =
+      checked.Put(all, sel, chunk.cols(), first_tick, 2, &in_checked);
+  const int64_t b = verdict.Put(computed, sel, chunk.cols(), first_tick, 2,
+                                &in_verdict, /*absent=*/true);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, 200 - static_cast<int64_t>(earlier.size()));
+  std::vector<ViewKey> keys_checked, keys_verdict;
+  for (size_t i = 0; i < all.size(); ++i) {
+    if (in_checked[i] != 0) keys_checked.push_back(all[i].key);
+  }
+  for (size_t i = 0; i < computed.size(); ++i) {
+    if (in_verdict[i] != 0) keys_verdict.push_back(computed[i].key);
+  }
+  EXPECT_EQ(keys_verdict, keys_checked);
+  ExpectSameImage(ImageOf(verdict), ImageOf(checked), "verdict vs checked");
+}
+
 // ---------------------------------------------------------------------------
 // 4. CondApply at 1 and 4 worker threads
 // ---------------------------------------------------------------------------
@@ -449,12 +552,19 @@ struct RunResult {
   std::map<std::string, int64_t> invocations;
   std::map<std::string, int64_t> reused;
   int64_t view_keys = 0;
+  ViewImage det_view;
+  ViewImage cls_view;
 };
+
+// How the last, full-range query runs: EVA's ViewJoin + CondApply + STORE
+// (STORE follows the join's verdict), the same with HashStash's ViewJoin
+// (STORE looks every key up), or a plain Apply + STORE.
+enum class FinalPlan { kReuse, kHashStash, kApplyOnly };
 
 // Detector + classifier CondApply over a half-materialized range, run on a
 // fresh store with `threads` workers and 5-row morsels (many morsels per
 // 16-row chunk).
-RunResult RunCondApply(int threads) {
+RunResult RunCondApply(int threads, FinalPlan final_plan = FinalPlan::kReuse) {
   catalog::Catalog catalog;
   catalog::UdfDef det;
   det.name = "Det";
@@ -502,28 +612,30 @@ RunResult RunCondApply(int threads) {
     return std::make_shared<plan::VideoScanNode>("v", lo, hi);
   };
   // Reuse pipeline for both UDFs over [lo, hi).
-  auto reuse = [&](int64_t lo, int64_t hi) {
-    auto det_join = chain(
-        std::make_shared<plan::ViewJoinNode>("Det", "Det@v"), scan(lo, hi));
-    auto det_cond =
-        chain(std::make_shared<plan::CondApplyNode>("Det"), det_join);
-    auto det_store =
-        chain(std::make_shared<plan::StoreNode>("Det", "Det@v"), det_cond);
-    auto cls_join = chain(
-        std::make_shared<plan::ViewJoinNode>("CarType", "CarType@v"),
-        det_store);
-    auto cls_cond =
-        chain(std::make_shared<plan::CondApplyNode>("CarType"), cls_join);
+  auto reuse = [&](int64_t lo, int64_t hi, FinalPlan how) {
+    auto fill = [&](const std::string& udf, plan::PlanNodePtr child) {
+      if (how == FinalPlan::kApplyOnly) {
+        auto apply = std::make_shared<plan::ApplyNode>(udf);
+        apply->set_emit_presence_placeholders(true);
+        return chain(apply, std::move(child));
+      }
+      auto join = std::make_shared<plan::ViewJoinNode>(udf, udf + "@v");
+      join->set_scan_all_for_dedup(how == FinalPlan::kHashStash);
+      return chain(std::make_shared<plan::CondApplyNode>(udf),
+                   chain(join, std::move(child)));
+    };
+    auto det_store = chain(std::make_shared<plan::StoreNode>("Det", "Det@v"),
+                           fill("Det", scan(lo, hi)));
     return chain(std::make_shared<plan::StoreNode>("CarType", "CarType@v"),
-                 cls_cond);
+                 fill("CarType", det_store));
   };
   RunResult out;
   // Materialize the odd-numbered 8-frame stripes of [0, 40) first.
   for (int64_t lo = 8; lo < 40; lo += 16) {
-    auto r = ExecutePlan(reuse(lo, lo + 8), &ctx);
+    auto r = ExecutePlan(reuse(lo, lo + 8, FinalPlan::kReuse), &ctx);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   }
-  auto r = ExecutePlan(reuse(0, 80), &ctx);
+  auto r = ExecutePlan(reuse(0, 80, final_plan), &ctx);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   if (r.ok()) out.rows = r.value().rows();
   out.clock = clock.TakeSnapshot();
@@ -531,6 +643,8 @@ RunResult RunCondApply(int threads) {
   out.reused = metrics.reused;
   out.view_keys = views.Find("Det@v")->num_keys() +
                   views.Find("CarType@v")->num_keys();
+  out.det_view = ImageOf(*views.Find("Det@v"));
+  out.cls_view = ImageOf(*views.Find("CarType@v"));
   return out;
 }
 
@@ -548,6 +662,46 @@ TEST(ChunkTest, CondApplyChunksEqualAtOneAndFourThreads) {
   EXPECT_GT(serial.reused.at("Det"), 0);
   EXPECT_GT(serial.invocations.at("CarType"), serial.reused.at("CarType"));
   EXPECT_EQ(serial.view_keys, parallel.view_keys);
+}
+
+// ---------------------------------------------------------------------------
+// 5. STORE with and without a ViewJoin verdict
+// ---------------------------------------------------------------------------
+
+TEST(ChunkTest, StoreFollowingVerdictMatchesStoreLookingKeysUp) {
+  // HashStash's ViewJoin probes exactly as EVA's but leaves STORE to look
+  // every key up; only its one full-view read charge differs.
+  const RunResult verdict = RunCondApply(1, FinalPlan::kReuse);
+  const RunResult lookup = RunCondApply(1, FinalPlan::kHashStash);
+  ASSERT_FALSE(verdict.rows.empty());
+  ExpectRowsIdentical(verdict.rows, lookup.rows, "verdict vs lookup");
+  for (size_t i = 0; i < verdict.clock.ms.size(); ++i) {
+    if (i == static_cast<size_t>(CostCategory::kReadView)) continue;
+    EXPECT_EQ(std::memcmp(&verdict.clock.ms[i], &lookup.clock.ms[i], 8), 0)
+        << "category " << i;
+  }
+  EXPECT_EQ(verdict.invocations, lookup.invocations);
+  EXPECT_EQ(verdict.reused, lookup.reused);
+  ExpectSameImage(verdict.det_view, lookup.det_view, "Det@v");
+  ExpectSameImage(verdict.cls_view, lookup.cls_view, "CarType@v");
+}
+
+TEST(ChunkTest, ApplyOnlyStoreSkipsKeysAlreadyPresent) {
+  // Apply recomputes every row; STORE must keep the stored keys as they
+  // are and add only the new ones — the rows and materialize charges of
+  // the reuse plan, which computed just those.
+  const RunResult reuse = RunCondApply(1, FinalPlan::kReuse);
+  const RunResult apply = RunCondApply(1, FinalPlan::kApplyOnly);
+  ExpectRowsIdentical(apply.rows, reuse.rows, "apply vs reuse");
+  const size_t mat = static_cast<size_t>(CostCategory::kMaterialize);
+  EXPECT_EQ(std::memcmp(&apply.clock.ms[mat], &reuse.clock.ms[mat], 8), 0);
+  EXPECT_EQ(apply.view_keys, reuse.view_keys);
+  EXPECT_GT(apply.invocations.at("Det"), reuse.invocations.at("Det") -
+                                             reuse.reused.at("Det"));
+  ExpectRowsIdentical(apply.det_view.rows, reuse.det_view.rows, "Det@v");
+  ExpectRowsIdentical(apply.cls_view.rows, reuse.cls_view.rows,
+                      "CarType@v");
+  EXPECT_EQ(apply.det_view.encoded, reuse.det_view.encoded);
 }
 
 }  // namespace

@@ -189,8 +189,9 @@ TEST_F(WalRecoveryTest, CrashMatrixRecoversSoundlyAtEveryPoint) {
 
 /// A segment_append record whose frame CRC is valid but whose column
 /// lanes are not (a writer bug, not a crash) fails recovery loudly, and
-/// installs none of its keys: the engine keeps only the records before it,
-/// so its answers stay those of a cold engine at the recovered horizon.
+/// recovery fails closed: nothing the snapshot or log holds stays
+/// installed, not even the records before the bad one, the WAL stays off,
+/// and an engine that held views before the call keeps exactly those.
 TEST_F(WalRecoveryTest, CorruptAppendRecordFailsReplayAndInstallsNothing) {
   const stdfs::path dir = root_ / "badappend";
   {
@@ -231,13 +232,27 @@ TEST_F(WalRecoveryTest, CorruptAppendRecordFailsReplayAndInstallsNothing) {
             std::string::npos)
       << armed.ToString();
   EXPECT_FALSE(engine->wal_enabled());
-  const storage::MaterializedView* view =
-      engine->views().Find(kDetectorKey);
-  ASSERT_NE(view, nullptr) << "the admission before the bad record applies";
-  EXPECT_EQ(view->num_keys(), 0);
+  // Fails closed: the admission replayed before the bad record is rolled
+  // back with the rest, so no view is installed.
+  EXPECT_EQ(engine->views().Find(kDetectorKey), nullptr);
+  EXPECT_TRUE(engine->views().views().empty());
   auto r = engine->Execute(kProbe);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().batch.ToString(1 << 20), OracleRows(kInitial));
+
+  // The same failure on an engine with reuse state rolls back to it.
+  auto warm = MakeStreamEngine(kInitial);
+  ASSERT_TRUE(warm->Execute(kProbe).ok());
+  const int64_t keys = warm->views().Find(kDetectorKey)->num_keys();
+  ASSERT_GT(keys, 0);
+  EXPECT_FALSE(warm->EnableWal(dir.string()).ok());
+  EXPECT_FALSE(warm->wal_enabled());
+  EXPECT_EQ(warm->views().views().size(), 1u);
+  EXPECT_EQ(warm->views().Find(kDetectorKey)->num_keys(), keys);
+  auto again = warm->Execute(kProbe);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.value().batch.ToString(1 << 20), OracleRows(kInitial));
+  EXPECT_GT(again.value().metrics.reused.at("FasterRCNNResNet50"), 0);
 }
 
 /// A silently torn group commit (short write that still returned success)
